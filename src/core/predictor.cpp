@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "core/predictor_kernels.hpp"
+#include "core/rollout_lanes.hpp"
 #include "physics/psychrometrics.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
@@ -73,7 +76,8 @@ CoolingPredictor::CoolingPredictor(const model::CoolingModel *model,
     if (!model)
         util::panic("CoolingPredictor: null model");
     if (horizon_steps <= 0)
-        util::fatal("CoolingPredictor: horizon must be positive");
+        throw std::invalid_argument(
+            "CoolingPredictor: horizon must be positive");
 }
 
 const CoolingPredictor::ResolvedModels &
@@ -483,13 +487,14 @@ CoolingPredictor::predictScoredInto(const PredictorState &state,
                                     Trajectory &traj, double &penalty) const
 {
     using cooling::RegimeClass;
-    using cooling::TransitionKey;
 
     ++_stats.rollouts;
 
     const int pods = int(state.podTempC.size());
     if (pods > _model->config().numPods)
         util::panic("CoolingPredictor: pod out of range");
+    if (int(state.podTempPrevC.size()) < pods)
+        util::panic("CoolingPredictor: podTempPrevC shorter than podTempC");
     if (int(outlook.outsideC.size()) < _horizonSteps)
         util::panic("CoolingPredictor: outlook shorter than the horizon");
 
@@ -497,11 +502,6 @@ CoolingPredictor::predictScoredInto(const PredictorState &state,
 
     traj.coolingEnergyKwh = 0.0;
     traj.steps.resize(size_t(_horizonSteps));
-
-    _temp.assign(state.podTempC.begin(), state.podTempC.end());
-    _tempPrev.assign(state.podTempPrevC.begin(), state.podTempPrevC.end());
-    double abs_h = state.coldAbsHumidity;
-    double fan_prev = state.fanSpeedPrev;
 
     const double candidate_fan =
         candidate.mode == cooling::Mode::FreeCooling ? candidate.fanSpeed
@@ -522,6 +522,10 @@ CoolingPredictor::predictScoredInto(const PredictorState &state,
         candidate.compressorOn && candidate.compressorSpeed < 1.0 - 1e-9;
     const double interp_s =
         util::clamp(candidate.compressorSpeed, 0.0, 1.0);
+    // Interpolated-AC rollouts query with fan speed forced to zero,
+    // matching CoolingModel::predictTemp's in_ac construction (the
+    // candidate fan is already zero for AC modes).
+    const double fan = ac_interp ? 0.0 : candidate_fan;
 
     const ResolvedModels *res_first = nullptr;
     const ResolvedModels *res_rest = nullptr;
@@ -536,20 +540,42 @@ CoolingPredictor::predictScoredInto(const PredictorState &state,
         res_first = &resolved({cur_cls, cand_cls});
         res_rest = &resolved({cand_cls, cand_cls});
     }
+    const int stride = int(res_first->temp.size());
+
+    // Per-rollout lane invariant: power fractions (0.5 past the end of
+    // the state's list, as TempInputs defaults).
+    _lanePf.resize(size_t(pods));
+    for (int p = 0; p < pods; ++p)
+        _lanePf[size_t(p)] = p < int(state.podPowerFraction.size())
+                                 ? state.podPowerFraction[size_t(p)]
+                                 : 0.5;
+    _laneOff.resize(size_t(pods));
 
     // Cooling power depends only on the candidate, not the step.
     const double power_w = _model->predictCoolingPower(candidate);
+    const double step_kwh = power_w * step_h / 1000.0;
 
     // Everything about the §3.2 penalty that doesn't vary per step.
     penalty = 0.0;
     const bool scoring = score.utility != nullptr;
     bool ac_full = false;
     bool can_prune = false;
+    lanes::TempPenaltyParams pp;
     if (scoring) {
         const UtilityConfig &cfg = *score.utility;
         for (int pod : *score.activePods)
             if (pod < 0 || pod >= pods)
                 util::panic("trajectoryPenalty: pod index out of range");
+        _laneMt.resize(size_t(pods));
+        _laneBd.resize(size_t(pods));
+        _laneRt.resize(size_t(pods));
+        // Disabled terms get thresholds they can never cross.
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        pp.maxTempC = cfg.penalizeMaxTemp ? cfg.maxTempC : kInf;
+        pp.bandLowC = cfg.penalizeBand ? score.band->lowC : -kInf;
+        pp.bandHighC = cfg.penalizeBand ? score.band->highC : kInf;
+        pp.maxRateCPerHour = cfg.penalizeRate ? cfg.maxRateCPerHour : kInf;
+        pp.stepHours = step_h;
         ac_full = cfg.penalizeAcFull &&
                   candidate.mode == cooling::Mode::AirConditioning &&
                   candidate.compressorOn &&
@@ -560,55 +586,100 @@ CoolingPredictor::predictScoredInto(const PredictorState &state,
         can_prune = !cfg.energyAware || cfg.energyWeightPerKwh >= 0.0;
     }
 
+    // Lane step for one resolved bank: the exact dot product per pod,
+    // then persistence pods (no fitted model) take T itself — the
+    // bank's identity row would turn a -0.0 into +0.0.
+    auto lane_step = [&](const ResolvedModels &res, const double *T,
+                         const double *Tprev, double out_c,
+                         double out_prev, double fan_prev, double *out) {
+        lanes::tempStep(pods, stride, res.tempW.data(), T, Tprev,
+                        _lanePf.data(), out_c, out_prev, fan, fan_prev,
+                        state.dcUtilization, out);
+        for (int p = 0; p < pods; ++p)
+            if (!res.temp[size_t(p)])
+                out[p] = T[p];
+    };
+
+    // Lower bound on the final score, built in the optimizer's exact
+    // operation order.  All remaining increments are non-negative and FP
+    // accumulation of non-negative terms is monotone, so reaching the
+    // abandonment threshold proves the full score would too.
+    auto reachesThreshold = [&]() {
+        const UtilityConfig &cfg = *score.utility;
+        double bound = penalty;
+        if (cfg.energyAware)
+            bound += cfg.energyWeightPerKwh * traj.coolingEnergyKwh;
+        bound += score.switchTerm;
+        return bound >= score.abandonAtScore;
+    };
+
+    double abs_h = state.coldAbsHumidity;
     for (int step = 0; step < _horizonSteps; ++step) {
         const bool first = step == 0;
         PredictedStep &out = traj.steps[size_t(step)];
         out.stepHours = step_h;
         out.podTempC.resize(size_t(pods));
 
-        model::TempInputs tin;
-        tin.outsideC = evap ? outlook.evapOutletC
-                            : outlook.outsideC[size_t(step)];
-        tin.outsidePrevC =
+        // The rollout reads its inputs straight from the state and the
+        // trajectory's earlier steps: T is the previous prediction,
+        // Tprev the one before.
+        const double *T = first ? state.podTempC.data()
+                                : traj.steps[size_t(step - 1)].podTempC.data();
+        const double *Tprev =
+            first ? state.podTempPrevC.data()
+                  : (step == 1
+                         ? state.podTempC.data()
+                         : traj.steps[size_t(step - 2)].podTempC.data());
+        const double out_c =
+            evap ? outlook.evapOutletC : outlook.outsideC[size_t(step)];
+        const double out_prev =
             evap ? outlook.evapOutletC
                  : (first ? outlook.outsidePrevC
                           : outlook.outsideC[size_t(step - 1)]);
-        // Interpolated-AC rollouts query with fan speed forced to zero,
-        // matching CoolingModel::predictTemp's in_ac construction (the
-        // candidate fan is already zero for AC modes).
-        tin.fanSpeed = ac_interp ? 0.0 : candidate_fan;
-        tin.fanSpeedPrev = fan_prev;
-        tin.dcUtilization = state.dcUtilization;
+        const double fan_prev = first ? state.fanSpeedPrev : candidate_fan;
 
-        const auto &m_on = (first ? res_first : res_rest)->temp;
-        const auto &m_off =
-            ac_interp ? (first ? res_first_off : res_rest_off)->temp
-                      : (first ? res_first : res_rest)->temp;
-        for (int p = 0; p < pods; ++p) {
-            tin.insideC = _temp[size_t(p)];
-            tin.insidePrevC = _tempPrev[size_t(p)];
-            tin.podPowerFraction =
-                p < int(state.podPowerFraction.size())
-                    ? state.podPowerFraction[size_t(p)]
-                    : 0.5;
-            double predicted;
-            if (ac_interp) {
-                double t_on = model::CoolingModel::predictTempWith(
-                    m_on[size_t(p)], tin);
-                double t_off = model::CoolingModel::predictTempWith(
-                    m_off[size_t(p)], tin);
-                predicted = t_off + (t_on - t_off) * interp_s;
-            } else {
-                predicted = model::CoolingModel::predictTempWith(
-                    m_on[size_t(p)], tin);
+        double *predicted = out.podTempC.data();
+        lane_step(first ? *res_first : *res_rest, T, Tprev, out_c, out_prev,
+                  fan_prev, predicted);
+        if (ac_interp) {
+            lane_step(first ? *res_first_off : *res_rest_off, T, Tprev,
+                      out_c, out_prev, fan_prev, _laneOff.data());
+            lanes::blend(pods, _laneOff.data(), interp_s, predicted);
+        }
+
+        traj.coolingEnergyKwh += step_kwh;
+
+        if (scoring) {
+            // Accumulate this step's penalty terms in exactly
+            // trajectoryPenalty()'s order so surviving candidates score
+            // bit-identically to the unfused path.  The lanes compute
+            // each pod's max-temp, band and rate term (+0.0 where the
+            // branch would not fire or the switch is off); they are added
+            // here one at a time, in activePods order.  Adding a +0.0
+            // term the serial code skips is exact: the running penalty
+            // starts at +0.0, and an IEEE sum is -0.0 only when both
+            // operands are.
+            lanes::tempPenaltyTerms(pods, predicted, T, pp, _laneMt.data(),
+                                    _laneBd.data(), _laneRt.data());
+            for (int pod : *score.activePods) {
+                penalty += _laneMt[size_t(pod)];
+                penalty += _laneBd[size_t(pod)];
+                penalty += _laneRt[size_t(pod)];
             }
-            out.podTempC[size_t(p)] = predicted;
+            // The step's humidity and AC-full terms are non-negative, so
+            // a bound that already reaches the threshold here would reach
+            // it after them too: abandon now, at the same step, and skip
+            // the humidity rollout and RH conversion.
+            if (can_prune && reachesThreshold()) {
+                ++_stats.rolloutsAbandoned;
+                return false;
+            }
         }
 
         model::HumidityInputs hin;
         hin.insideAbs = abs_h;
         hin.outsideAbs = state.outsideAbsHumidity;
-        hin.fanSpeed = ac_interp ? 0.0 : candidate_fan;
+        hin.fanSpeed = fan;
         double next_abs;
         if (ac_interp) {
             double h_on = model::CoolingModel::predictHumidityWith(
@@ -623,39 +694,13 @@ CoolingPredictor::predictScoredInto(const PredictorState &state,
 
         // Relative humidity at the (predicted) cold-aisle temperature.
         double avg_t = 0.0;
-        for (double t : out.podTempC)
-            avg_t += t;
+        for (int p = 0; p < pods; ++p)
+            avg_t += predicted[p];
         avg_t = pods > 0 ? avg_t / pods : 20.0;
         out.rhPercent = physics::relativeHumidity(avg_t, next_abs);
 
-        traj.coolingEnergyKwh += power_w * step_h / 1000.0;
-
         if (scoring) {
-            // Accumulate this step's penalty terms in exactly
-            // trajectoryPenalty()'s order so surviving candidates score
-            // bit-identically to the unfused path.
             const UtilityConfig &cfg = *score.utility;
-            const std::vector<double> &prevT =
-                first ? state.podTempC
-                      : traj.steps[size_t(step - 1)].podTempC;
-            for (int pod : *score.activePods) {
-                double t = out.podTempC[size_t(pod)];
-
-                if (cfg.penalizeMaxTemp && t > cfg.maxTempC)
-                    penalty += (t - cfg.maxTempC) / 0.5;
-
-                if (cfg.penalizeBand)
-                    penalty += score.band->violation(t) / 0.5;
-
-                if (cfg.penalizeRate && pod < int(prevT.size())) {
-                    double rate = std::fabs(t - prevT[size_t(pod)]) /
-                                  std::max(out.stepHours, 1e-9);
-                    if (rate > cfg.maxRateCPerHour) {
-                        penalty += (rate - cfg.maxRateCPerHour) *
-                                   out.stepHours;
-                    }
-                }
-            }
             if (cfg.penalizeHumidity) {
                 if (out.rhPercent > cfg.humidityMaxPercent) {
                     penalty +=
@@ -668,29 +713,13 @@ CoolingPredictor::predictScoredInto(const PredictorState &state,
             if (ac_full)
                 penalty += 1.0;
 
-            if (can_prune) {
-                // Lower bound on the final score, built in the
-                // optimizer's exact operation order.  All remaining
-                // increments are non-negative and FP accumulation of
-                // non-negative terms is monotone, so reaching the
-                // abandonment threshold here proves the full score
-                // would too.
-                double bound = penalty;
-                if (cfg.energyAware)
-                    bound +=
-                        cfg.energyWeightPerKwh * traj.coolingEnergyKwh;
-                bound += score.switchTerm;
-                if (bound >= score.abandonAtScore) {
-                    ++_stats.rolloutsAbandoned;
-                    return false;
-                }
+            if (can_prune && reachesThreshold()) {
+                ++_stats.rolloutsAbandoned;
+                return false;
             }
         }
 
-        std::swap(_temp, _tempPrev);
-        _temp.assign(out.podTempC.begin(), out.podTempC.end());
         abs_h = next_abs;
-        fan_prev = candidate_fan;
     }
 
     if (scoring) {

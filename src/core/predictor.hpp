@@ -130,6 +130,7 @@ class CoolingPredictor
     /**
      * @param model         the learned cooling model
      * @param horizon_steps model steps per rollout (5 x 2 min = 10 min)
+     * @throws std::invalid_argument when @p horizon_steps <= 0
      */
     CoolingPredictor(const model::CoolingModel *model, int horizon_steps = 5);
 
@@ -229,12 +230,13 @@ class CoolingPredictor
         const model::LinearModel *humidity = nullptr;
 
         /**
-         * The same models flattened for the batched scorer: tempW holds
+         * The same models flattened for the lane kernels: tempW holds
          * the temperature weights transposed (feature-major,
-         * [feature * pods + pod]) so the per-pod collapse kernel reads
-         * contiguous lanes, and humW the humidity weights.  Persistence
-         * (null) entries are encoded as identity rows (weight 1 on the
-         * inside-state feature) so the collapse runs branch-free.
+         * [feature * pods + pod]) so the exact pod-lane rollout and the
+         * batched scorer's collapse kernel read contiguous lanes, and
+         * humW the humidity weights.  Persistence (null) entries are
+         * encoded as identity rows (weight 1 on the inside-state
+         * feature) so the kernels run branch-free.
          */
         std::vector<double> tempW;
         std::array<double, model::HumidityFeatures::kCount> humW{};
@@ -250,10 +252,12 @@ class CoolingPredictor
      */
     const ResolvedModels &resolved(const cooling::TransitionKey &key) const;
 
-    // Rollout scratch (predictInto is logically const; one predictor per
-    // controller, controllers are never shared across threads).
-    mutable std::vector<double> _temp;
-    mutable std::vector<double> _tempPrev;
+    // Rollout lane scratch, [pod] (predictInto is logically const; one
+    // predictor per controller, controllers are never shared across
+    // threads).
+    mutable std::vector<double> _lanePf;   ///< pod power fractions
+    mutable std::vector<double> _laneOff;  ///< compressor-off temps
+    mutable std::vector<double> _laneMt, _laneBd, _laneRt;  ///< penalty
 
     // Batched-scoring scratch, candidate-major ([cand*pods+pod],
     // [cand*horizon+step], or [cand]); sized on first use, reused per

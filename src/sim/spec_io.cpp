@@ -2,6 +2,7 @@
 
 #include <array>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -67,6 +68,14 @@ badValue(const std::string &key, const std::string &value)
 {
     throw std::invalid_argument("spec: bad value for '" + key + "': '" +
                                 value + "'");
+}
+
+[[noreturn]] void
+outOfDomain(const std::string &key, const std::string &value,
+            const char *domain)
+{
+    throw std::invalid_argument("spec: bad value for '" + key + "': '" +
+                                value + "' (" + domain + ")");
 }
 
 double
@@ -397,17 +406,27 @@ applyKeyValue(ExperimentSpec &spec, const std::string &key,
         spec.reportJsonPath = value;
     else if (key == "trace_json")
         spec.traceJsonPath = value;
-    else if (key == "band_width")
+    else if (key == "band_width") {
         spec.bandWidthC = parseDouble(key, value);
-    else if (key == "band_offset")
+        if (!std::isfinite(*spec.bandWidthC) || *spec.bandWidthC <= 0.0)
+            outOfDomain(key, value, "finite and > 0");
+    } else if (key == "band_offset") {
         spec.bandOffsetC = parseDouble(key, value);
-    else if (key == "switch_penalty")
+        if (!std::isfinite(*spec.bandOffsetC))
+            outOfDomain(key, value, "finite");
+    } else if (key == "switch_penalty") {
         spec.switchPenalty = parseDouble(key, value);
-    else if (key == "sleep_decay")
+        if (!std::isfinite(*spec.switchPenalty) || *spec.switchPenalty < 0.0)
+            outOfDomain(key, value, "finite and >= 0");
+    } else if (key == "sleep_decay")
         spec.sleepDecayPerEpoch = parseDouble(key, value);
-    else if (key == "horizon")
+    else if (key == "horizon") {
+        // Model steps per optimizer decision: at most one day of 2-min
+        // steps, which also bounds the per-epoch rollout cost.
         spec.horizonSteps = parseInt(key, value);
-    else if (key == "batch") {
+        if (*spec.horizonSteps < 1 || *spec.horizonSteps > 720)
+            outOfDomain(key, value, "integer in [1, 720]");
+    } else if (key == "batch") {
         spec.batch = parseInt(key, value);
         if (spec.batch < 0 || spec.batch > 1024)
             badValue(key, value);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -21,9 +22,14 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/predictor.hpp"
 #include "environment/weather.hpp"
+#include "model/cooling_model.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "sim/spec_io.hpp"
 #include "store/result_store.hpp"
 #include "util/parse.hpp"
 
@@ -515,4 +521,72 @@ TEST(ServeSpec, HostileBatchValuesAreStructuredErrors)
                                "system=baseline; workload=profile; "
                                "physics_step=120; batch=2"));
     EXPECT_TRUE(ok.ok) << ok.error;
+}
+
+TEST(ServeSpec, HostileControllerKeysAnswerErrAndServerSurvives)
+{
+    // Controller tuning keys used to reach CoolingPredictor's fatal()
+    // (horizon <= 0 ended the process), run for minutes (a huge
+    // horizon), or silently simulate a meaningless band (nan / negative
+    // width).  Each must now come back as an immediate ERR naming the
+    // key from a live server, which keeps answering PING afterwards.
+    TempDir dir;
+    serve::ExperimentService service;
+    serve::ServerConfig server_config;
+    server_config.unixPath = (dir.path / "serve.sock").string();
+    serve::LineServer server(service, server_config);
+    server.start();
+    serve::Client client = serve::Client::connectUnix(server_config.unixPath);
+
+    const std::string base = "RUN run=day; day=10; site=newark; "
+                             "system=allnd; workload=profile; "
+                             "physics_step=120; ";
+    const char *bad[][2] = {
+        {"horizon=0", "horizon"},
+        {"horizon=-3", "horizon"},
+        {"horizon=721", "horizon"},
+        {"horizon=100000000", "horizon"},
+        {"band_width=nan", "band_width"},
+        {"band_width=-5", "band_width"},
+        {"band_width=0", "band_width"},
+        {"band_width=inf", "band_width"},
+        {"band_offset=nan", "band_offset"},
+        {"band_offset=-inf", "band_offset"},
+        {"switch_penalty=-1", "switch_penalty"},
+        {"switch_penalty=nan", "switch_penalty"},
+    };
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto &[assignment, key] : bad) {
+        serve::Client::Response r = client.request(base + assignment);
+        EXPECT_FALSE(r.ok) << assignment;
+        EXPECT_NE(r.status.find(key), std::string::npos)
+            << assignment << " -> " << r.status;
+        serve::Client::Response pong = client.request("PING");
+        ASSERT_TRUE(pong.ok) << assignment << ": " << pong.error;
+        EXPECT_EQ(pong.status, "PONG");
+    }
+    // Rejected at parse time: nothing was simulated.
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count(),
+              10.0);
+    EXPECT_EQ(service.stats().counter("serve.parse_errors", "").value(),
+              int64_t(sizeof(bad) / sizeof(bad[0])));
+
+    // The edges of each domain still parse.
+    for (const char *ok : {"horizon=1", "horizon=720", "band_width=0.5",
+                           "band_offset=-3", "switch_penalty=0"}) {
+        EXPECT_NO_THROW(sim::parseSpec(serve::specTextFromArg(
+            std::string("site=newark; system=allnd; ") + ok)))
+            << ok;
+    }
+    server.stop();
+}
+
+TEST(PredictorInput, NonPositiveHorizonThrowsInsteadOfExiting)
+{
+    model::CoolingModel m;
+    EXPECT_THROW(core::CoolingPredictor(&m, 0), std::invalid_argument);
+    EXPECT_THROW(core::CoolingPredictor(&m, -3), std::invalid_argument);
+    EXPECT_NO_THROW(core::CoolingPredictor(&m, 1));
 }
