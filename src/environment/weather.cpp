@@ -1,13 +1,5 @@
 #include "environment/weather.hpp"
 
-#include <cmath>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
-#include "physics/psychrometrics.hpp"
-#include "util/logging.hpp"
-#include "util/parse.hpp"
 #include "util/stats.hpp"
 
 namespace coolair {
@@ -23,132 +15,6 @@ WeatherProvider::meanTemperature(util::SimTime from, util::SimTime to,
     for (util::SimTime t = from; t < to; t += step_s)
         stats.add(temperature(t));
     return stats.mean();
-}
-
-CsvWeatherSeries::CsvWeatherSeries(std::vector<double> hourly_temp_c,
-                                   std::vector<double> hourly_rh_percent)
-    : _tempC(std::move(hourly_temp_c)),
-      _rhPercent(std::move(hourly_rh_percent))
-{
-    if (_tempC.empty() || _tempC.size() != _rhPercent.size())
-        util::fatal("CsvWeatherSeries: need matching, non-empty series");
-}
-
-namespace {
-
-/** Trim ASCII whitespace (CSV exports often pad cells and end lines
-    with \r). */
-std::string
-trimCell(const std::string &s)
-{
-    size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-[[noreturn]] void
-badRow(size_t row, const std::string &what)
-{
-    throw std::invalid_argument("weather row " + std::to_string(row) +
-                                ": " + what);
-}
-
-} // anonymous namespace
-
-CsvWeatherSeries
-CsvWeatherSeries::fromCsv(std::istream &in)
-{
-    std::vector<double> temps, rhs;
-    std::string line;
-    bool first = true;
-    size_t row = 0;        // 1-based data-row number (header excluded)
-    long long last_hour = -1;
-    while (std::getline(in, line)) {
-        if (first) {  // header
-            first = false;
-            continue;
-        }
-        if (trimCell(line).empty())
-            continue;
-        ++row;
-
-        std::istringstream cells_in(line);
-        std::string cell;
-        std::vector<std::string> cells;
-        while (std::getline(cells_in, cell, ','))
-            cells.push_back(trimCell(cell));
-        if (cells.size() < 2 || cells.size() > 3)
-            badRow(row, "expected hour,temp_c[,rh_percent], got '" +
-                            line + "'");
-
-        // Cells parse strictly (strtod-to-end, the spec_io style): a
-        // garbage cell is an error, never a silent 0.0.
-        static const char *const kColNames[3] = {"hour", "temp_c",
-                                                 "rh_percent"};
-        double vals[3] = {0.0, 0.0, 50.0};
-        for (size_t c = 0; c < cells.size(); ++c)
-            if (!util::parseDouble(cells[c], vals[c]))
-                badRow(row, std::string("malformed ") + kColNames[c] +
-                                " cell '" + cells[c] + "'");
-
-        // The hour index addresses the series; a bogus one would index
-        // row 0 (negative cast) or resize to an absurd length.
-        if (vals[0] != std::floor(vals[0]))
-            badRow(row, "hour index '" + cells[0] + "' is not an integer");
-        if (vals[0] < 0.0 || vals[0] >= double(kMaxCsvHours))
-            badRow(row, "hour index '" + cells[0] + "' out of [0, " +
-                            std::to_string(kMaxCsvHours) + ")");
-        const long long hour = (long long)(vals[0]);
-        if (hour <= last_hour)
-            badRow(row, "hour index " + std::to_string(hour) +
-                            " does not increase (previous row was hour " +
-                            std::to_string(last_hour) + ")");
-        last_hour = hour;
-
-        // Missing hours repeat the last recorded value.
-        if (temps.size() <= size_t(hour)) {
-            temps.resize(size_t(hour) + 1,
-                         temps.empty() ? vals[1] : temps.back());
-            rhs.resize(size_t(hour) + 1, rhs.empty() ? vals[2] : rhs.back());
-        }
-        temps[size_t(hour)] = vals[1];
-        rhs[size_t(hour)] = vals[2];
-    }
-    if (temps.empty())
-        throw std::invalid_argument("weather: no data rows");
-    return CsvWeatherSeries(std::move(temps), std::move(rhs));
-}
-
-CsvWeatherSeries
-CsvWeatherSeries::fromCsvFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        util::fatal("CsvWeatherSeries: cannot open " + path);
-    return fromCsv(in);
-}
-
-WeatherSample
-CsvWeatherSeries::sample(util::SimTime t) const
-{
-    double hour_f = t.hours();
-    double wrapped = std::fmod(hour_f, double(_tempC.size()));
-    if (wrapped < 0.0)
-        wrapped += double(_tempC.size());
-    size_t h0 = size_t(wrapped) % _tempC.size();
-    size_t h1 = (h0 + 1) % _tempC.size();
-    double frac = wrapped - std::floor(wrapped);
-
-    WeatherSample out;
-    out.tempC = _tempC[h0] + frac * (_tempC[h1] - _tempC[h0]);
-    out.rhPercent = util::clamp(
-        _rhPercent[h0] + frac * (_rhPercent[h1] - _rhPercent[h0]), 1.0,
-        100.0);
-    out.absHumidity =
-        physics::absoluteHumidity(out.tempC, out.rhPercent);
-    return out;
 }
 
 } // namespace environment

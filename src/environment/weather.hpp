@@ -7,15 +7,11 @@
  *
  * Everything that consumes outdoor conditions (the plant, the engine,
  * the Forecaster) does so through WeatherProvider, so the same
- * experiments run against the parametric synthetic climate (Climate),
- * a recorded hourly series loaded from CSV (CsvWeatherSeries — e.g.
- * real TMY exports), or any custom source a downstream user supplies.
+ * experiments run against the parametric synthetic climate (Climate)
+ * or any custom source a downstream user supplies.
  */
 
 #include <cstdint>
-#include <istream>
-#include <string>
-#include <vector>
 
 #include "util/sim_time.hpp"
 
@@ -51,51 +47,6 @@ class WeatherProvider
      */
     double meanTemperature(util::SimTime from, util::SimTime to,
                            int64_t step_s = 600) const;
-};
-
-/**
- * Upper bound on CSV hour indices (a leap year of hours): anything at
- * or above this is a malformed row, not a request for a multi-year
- * series.
- */
-inline constexpr long long kMaxCsvHours = 24 * 366;
-
-/**
- * A recorded hourly weather series (e.g. exported from TMY data as CSV)
- * with linear interpolation between hours and yearly wrap-around.
- *
- * CSV format: one header line, then rows `hour_of_year,temp_c,rh_percent`
- * with strictly increasing hour_of_year in [0, kMaxCsvHours).  Missing
- * hours repeat the last recorded value.  Parsing is strict: every cell
- * must be a complete number (no atof-style silent zeros), and a bad row
- * raises std::invalid_argument naming its 1-based data-row number
- * ("weather row N: ...").
- */
-class CsvWeatherSeries : public WeatherProvider
-{
-  public:
-    /** Build from explicit hourly (temp, rh) pairs. */
-    CsvWeatherSeries(std::vector<double> hourly_temp_c,
-                     std::vector<double> hourly_rh_percent);
-
-    /**
-     * Parse the CSV format described above from a stream.
-     * @throws std::invalid_argument on any malformed row or when the
-     *         stream holds no data rows.
-     */
-    static CsvWeatherSeries fromCsv(std::istream &in);
-
-    /** Parse from a file path (fatal on open failure). */
-    static CsvWeatherSeries fromCsvFile(const std::string &path);
-
-    WeatherSample sample(util::SimTime t) const override;
-
-    /** Number of recorded hours. */
-    size_t hours() const { return _tempC.size(); }
-
-  private:
-    std::vector<double> _tempC;
-    std::vector<double> _rhPercent;
 };
 
 } // namespace environment

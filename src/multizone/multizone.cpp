@@ -95,7 +95,7 @@ void
 MultiZoneEngine::runDay(int day_of_year, const workload::Trace &trace)
 {
     util::SimTime day_start(int64_t(day_of_year) * util::kSecondsPerDay);
-    util::SimTime warm_start = day_start - 2 * util::kSecondsPerHour;
+    util::SimTime warm_start = day_start - sim::kWarmupS;
     util::SimTime end = day_start + util::kSecondsPerDay;
 
     // Jobs sorted by submission time.

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <stdexcept>
 
-#include "obs/report.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
-#include "sim/engine.hpp"
-#include "sim/scenario.hpp"
 #include "sim/spec_io.hpp"
 #include "util/logging.hpp"
 
@@ -54,24 +50,8 @@ BatchedEngine::BatchedEngine(std::vector<ExperimentSpec> specs,
                 "location, seed and output paths may vary in a batch)");
     }
 
-    // ScenarioBuilder's runnability validation, on the shared shape.
     const ExperimentSpec &proto = specs.front();
-    if (proto.physicsStepS <= 0.0)
-        throw std::invalid_argument(
-            "ExperimentSpec: physics step must be positive");
-    if (proto.runKind == RunKind::YearWeekly && proto.weeks <= 0)
-        throw std::invalid_argument("ExperimentSpec: weeks must be positive");
-    if (proto.runKind == RunKind::DayRange && proto.endDay <= proto.startDay)
-        throw std::invalid_argument(
-            "ExperimentSpec: day range must be non-empty");
-
-    _physicsStepS = proto.physicsStepS;
-    _stepS = int64_t(_physicsStepS);
-    _intervalS = std::max<int64_t>(60, int64_t(_physicsStepS));
-    _warmupS = EngineConfig{}.warmupS;
-    if (_stepS <= 0 || _intervalS % _stepS != 0)
-        util::fatal("Engine: sample interval must be a multiple of the "
-                    "physics step");
+    _plan = RunPlan::forSpec(proto);
 
     _plantConfig = plantConfigFor(proto);
     std::vector<uint64_t> seeds;
@@ -84,31 +64,26 @@ BatchedEngine::BatchedEngine(std::vector<ExperimentSpec> specs,
     for (ExperimentSpec &spec : specs) {
         LaneState lane;
         lane.spec = std::move(spec);
-        const ExperimentSpec &ls = lane.spec;
         try {
             // Trace output needs the scalar engine's per-step sink; its
             // absence here is the documented fault-injection lever.
-            if (!ls.traceCsvPath.empty() || !ls.traceJsonPath.empty())
+            if (!lane.spec.traceCsvPath.empty() ||
+                !lane.spec.traceJsonPath.empty())
                 throw std::invalid_argument(
                     "BatchedEngine: trace output is not supported on the "
                     "batched path (run with batch = 0)");
-            lane.climate = std::make_unique<environment::Climate>(
-                ls.location.makeClimate(ls.seed));
-            // The raw climate serves the forecaster: its samples are
-            // bit-identical to the scalar path's cached provider.
-            lane.forecaster = std::make_unique<environment::Forecaster>(
-                *lane.climate, ls.forecastError, ls.seed);
-            lane.workload = makeWorkload(ls);
-            lane.controller = makeController(ls, lane.forecaster.get());
+            // Lanes step on pre-evaluated grids, so the forecaster's
+            // once-a-day queries are a lane's only provider traffic and
+            // never hit the grid cache (0 hits in 14,976 queries over a
+            // 26-week lane); its memo blocks only cost time.
+            ExperimentSpec uncached = lane.spec;
+            uncached.weatherCache = false;
+            lane.parts = assembleRun(uncached);
             // CoolAir lanes score each epoch's candidate menu in one
             // batched pass (ulp-level score drift only; DESIGN.md §10).
-            if (auto *ca =
-                    dynamic_cast<CoolAirController *>(lane.controller.get()))
+            if (auto *ca = dynamic_cast<CoolAirController *>(
+                    lane.parts.controller.get()))
                 ca->setBatchedCandidates(true);
-            MetricsConfig mc;
-            mc.maxTempC = ls.maxTempC;
-            lane.metrics = std::make_unique<MetricsCollector>(
-                mc, _plantConfig.numPods);
         } catch (const std::exception &e) {
             lane.dead = true;
             lane.error = e.what();
@@ -144,20 +119,21 @@ BatchedEngine::failLane(int lane, const char *what)
 void
 BatchedEngine::refreshGrids(int64_t from_s, int64_t end_s)
 {
-    const int64_t remaining = (end_s - from_s + _stepS - 1) / _stepS;
+    const int64_t step = _plan.stepS;
+    const int64_t remaining = (end_s - from_s + step - 1) / step;
     const int n = int(std::min<int64_t>(remaining, kMaxGridChunk));
     _gridStartS = from_s;
     _gridPoints = n;
     for (LaneState &lane : _lanes) {
-        if (lane.climate) {
-            lane.climate->sampleGridInto(util::SimTime(from_s), _stepS, n,
-                                         lane.grid);
+        if (lane.parts.climate) {
+            lane.parts.climate->sampleGridInto(util::SimTime(from_s), step,
+                                               n, lane.grid);
         } else {
             // Construction-dead lane: any finite weather keeps its plant
             // lane stepping harmlessly alongside the batch.
             const size_t nz = size_t(n);
             lane.grid.startTime = util::SimTime(from_s);
-            lane.grid.stepS = _stepS;
+            lane.grid.stepS = step;
             lane.grid.tempC.assign(nz, 20.0);
             lane.grid.rhPercent.assign(nz, 50.0);
             lane.grid.absHumidity.assign(nz, 8.0);
@@ -179,18 +155,19 @@ BatchedEngine::sampleAll(util::SimTime now, bool collect)
             sensors.time = now;
 
             if (now.seconds() >= lane.nextControlS) {
-                workload::WorkloadStatus status = lane.workload->status();
-                const uint64_t v = lane.workload->loadVersion();
+                workload::WorkloadStatus status =
+                    lane.parts.workload->status();
+                const uint64_t v = lane.parts.workload->loadVersion();
                 if (v == 0 || v != lane.loadVersion) {
-                    lane.workload->podLoadInto(_loads[size_t(l)]);
+                    lane.parts.workload->podLoadInto(_loads[size_t(l)]);
                     lane.loadVersion = v;
                     _loadsDirty[size_t(l)] = 1;
                 }
-                ControlDecision decision = lane.controller->control(
+                ControlDecision decision = lane.parts.controller->control(
                     sensors, status, _loads[size_t(l)], now);
-                ++lane.controlEpochs;
+                ++lane.counters.controlEpochs;
                 if (!(decision.regime == _commands[size_t(l)])) {
-                    ++lane.regimeTransitions;
+                    ++lane.counters.regimeTransitions;
                     _commands[size_t(l)] = decision.regime;
                     _cmdsDirty[size_t(l)] = 1;
                 }
@@ -198,20 +175,21 @@ BatchedEngine::sampleAll(util::SimTime now, bool collect)
                 // actuator, via the clean mask) untouched: setCommand
                 // with an equal regime is a no-op by construction.
                 if (decision.hasPlan)
-                    lane.workload->applyPlan(decision.plan);
+                    lane.parts.workload->applyPlan(decision.plan);
                 lane.nextControlS =
-                    now.seconds() + lane.controller->epochS();
+                    now.seconds() + lane.parts.controller->epochS();
             }
 
             if (!collect)
                 continue;
 
-            ++lane.samples;
+            ++lane.counters.samples;
             if (sensors.cooling.mode == cooling::Mode::AirConditioning)
-                ++lane.acSamples;
+                ++lane.counters.acSamples;
 
-            lane.metrics->record(now, sensors, double(_intervalS),
-                                 _outside[size_t(l)].tempC);
+            lane.parts.metrics->record(now, sensors,
+                                       double(_plan.sampleIntervalS),
+                                       _outside[size_t(l)].tempC);
         } catch (const std::exception &e) {
             failLane(l, e.what());
         }
@@ -224,7 +202,7 @@ BatchedEngine::runRange(int64_t start_s, int64_t end_s, bool collect)
     if (end_s <= start_s)
         return;
 
-    const int64_t step = _stepS;
+    const int64_t step = _plan.stepS;
     const int n = lanes();
     refreshGrids(start_s, end_s);
     size_t gi = 0;
@@ -239,10 +217,10 @@ BatchedEngine::runRange(int64_t start_s, int64_t end_s, bool collect)
             _outside[size_t(l)] = _lanes[size_t(l)].grid.at(gi);
         for (LaneState &lane : _lanes)
             if (!lane.dead)
-                ++lane.steps;
+                ++lane.counters.steps;
         _stats.lanesStepped += n;
 
-        if ((t - start_s) % _intervalS == 0)
+        if ((t - start_s) % _plan.sampleIntervalS == 0)
             sampleAll(now, collect);
 
         for (int l = 0; l < n; ++l) {
@@ -250,10 +228,10 @@ BatchedEngine::runRange(int64_t start_s, int64_t end_s, bool collect)
             if (lane.dead)
                 continue;
             try {
-                lane.workload->step(now, double(step));
-                const uint64_t v = lane.workload->loadVersion();
+                lane.parts.workload->step(now, double(step));
+                const uint64_t v = lane.parts.workload->loadVersion();
                 if (v == 0 || v != lane.loadVersion) {
-                    lane.workload->podLoadInto(_loads[size_t(l)]);
+                    lane.parts.workload->podLoadInto(_loads[size_t(l)]);
                     lane.loadVersion = v;
                     _loadsDirty[size_t(l)] = 1;
                 }
@@ -273,68 +251,21 @@ BatchedEngine::runRange(int64_t start_s, int64_t end_s, bool collect)
 }
 
 void
-BatchedEngine::initDay(int64_t warm_start_s)
+BatchedEngine::runSegment(const RunSegment &segment)
 {
-    const util::SimTime warm(warm_start_s);
+    obs::Span span("batch_engine.runDay");
+    const util::SimTime warm(segment.warmStartS);
     for (int l = 0; l < lanes(); ++l) {
         LaneState &lane = _lanes[size_t(l)];
-        if (!lane.climate)
+        if (!lane.parts.climate)
             continue;
         // Strict scalar sample here, so the start state is bit-identical
         // to the scalar engine's.
-        _plant->initializeSteadyState(l, lane.climate->sample(warm));
-        lane.nextControlS = warm_start_s;
+        _plant->initializeSteadyState(l, lane.parts.climate->sample(warm));
+        lane.nextControlS = segment.warmStartS;
     }
-}
-
-void
-BatchedEngine::runDay(int day_of_year)
-{
-    obs::Span span("batch_engine.runDay");
-    const int64_t day_start = int64_t(day_of_year) * util::kSecondsPerDay;
-    const int64_t warm_start = day_start - _warmupS;
-
-    initDay(warm_start);
-    runRange(warm_start, day_start, /*collect=*/false);
-    runRange(day_start, day_start + util::kSecondsPerDay, /*collect=*/true);
-}
-
-void
-BatchedEngine::runDayRange(int start_day, int end_day)
-{
-    if (end_day <= start_day)
-        return;
-    obs::Span span("batch_engine.runDayRange");
-
-    const int64_t start = int64_t(start_day) * util::kSecondsPerDay;
-    const int64_t end = int64_t(end_day) * util::kSecondsPerDay;
-    const int64_t warm_start = start - _warmupS;
-
-    initDay(warm_start);
-    runRange(warm_start, start, /*collect=*/false);
-    runRange(start, end, /*collect=*/true);
-}
-
-void
-BatchedEngine::collectLaneStats(const LaneState &lane,
-                                obs::StatsRegistry &reg) const
-{
-    lane.controller->addStats(reg);
-
-    reg.counter("engine.steps", "physics steps taken").add(lane.steps);
-    reg.counter("engine.samples", "collected metric samples")
-        .add(lane.samples);
-    reg.counter("engine.control_epochs", "controller invocations")
-        .add(lane.controlEpochs);
-    reg.counter("engine.regime_transitions", "commanded regime changes")
-        .add(lane.regimeTransitions);
-    reg.counter("engine.ac_minutes",
-                "collected simulated minutes in AC mode")
-        .add(lane.acSamples * _intervalS / 60);
-
-    reg.counter("metrics.violation_minutes",
-                "simulated minutes with max inlet above the desired max")
-        .add(lane.metrics->violationSamples() * _intervalS / 60);
+    runRange(segment.warmStartS, segment.startS, /*collect=*/false);
+    runRange(segment.startS, segment.endS, /*collect=*/true);
 }
 
 void
@@ -364,19 +295,8 @@ BatchedEngine::run()
         std::chrono::steady_clock::now();
     {
         obs::Span span("batch_engine.run");
-        const ExperimentSpec &proto = _lanes.front().spec;
-        switch (proto.runKind) {
-          case RunKind::YearWeekly:
-            for (int day : yearSampleDays(proto.weeks))
-                runDay(day);
-            break;
-          case RunKind::SingleDay:
-            runDay(proto.day);
-            break;
-          case RunKind::DayRange:
-            runDayRange(proto.startDay, proto.endDay);
-            break;
-        }
+        for (const RunSegment &segment : _plan.segments)
+            runSegment(segment);
     }
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
@@ -384,42 +304,30 @@ BatchedEngine::run()
 
     _stats.batchesExecuted = 1;
     for (const LaneState &lane : _lanes)
-        _stats.simMinutes += lane.steps * _stepS / 60;
+        _stats.simMinutes += lane.counters.steps * _plan.stepS / 60;
+
+    // Batch-wide counters fold into each lane's report only; they are
+    // published globally exactly once below.
+    const ReportStatsSource report_source = [this](obs::StatsRegistry &reg) {
+        addBatchStats(reg);
+        if (_reportSource)
+            _reportSource(reg);
+    };
 
     std::vector<LaneResult> out(_lanes.size());
     for (size_t l = 0; l < _lanes.size(); ++l) {
-        LaneState &lane = _lanes[l];
+        const LaneState &lane = _lanes[l];
         LaneResult &res = out[l];
         if (lane.dead) {
             res.error = lane.error;
             continue;
         }
-        res.ok = true;
-        res.result.system = lane.metrics->summary();
-        res.result.outside = lane.metrics->outsideSummary();
-
-        if (obs::enabled() || !lane.spec.reportJsonPath.empty()) {
-            obs::StatsRegistry local;
-            collectLaneStats(lane, local);
-            if (obs::enabled())
-                obs::registry().merge(local);
-            if (!lane.spec.reportJsonPath.empty()) {
-                // Batch-wide counters fold into the report only (their
-                // owner publishes them globally exactly once below).
-                addBatchStats(local);
-                obs::RunReport report = makeRunReport(
-                    lane.spec, res.result, wall,
-                    double(lane.steps) * _physicsStepS);
-                std::ofstream os(lane.spec.reportJsonPath);
-                if (!os) {
-                    res.ok = false;
-                    res.error =
-                        "BatchedEngine: cannot open report JSON path: " +
-                        lane.spec.reportJsonPath;
-                    continue;
-                }
-                obs::writeRunReport(os, report, local);
-            }
+        try {
+            res.result = finishRun(lane.spec, _plan, lane.parts,
+                                   lane.counters, wall, report_source);
+            res.ok = true;
+        } catch (const std::exception &e) {
+            res.error = e.what();
         }
     }
 
@@ -432,12 +340,14 @@ BatchedEngine::run()
 }
 
 ExperimentResult
-runBatchedExperiment(const ExperimentSpec &spec)
+runBatchedExperiment(const ExperimentSpec &spec,
+                     const ReportStatsSource &report_source)
 {
     if (spec.batch <= 0)
         throw std::invalid_argument(
             "runBatchedExperiment: spec.batch must be positive");
     BatchedEngine engine({spec}, /*requested_width=*/1);
+    engine.setReportStatsSource(report_source);
     std::vector<LaneResult> out = engine.run();
     if (!out.front().ok)
         throw std::runtime_error(out.front().error);

@@ -9,9 +9,11 @@
  * Lanes must share one *shape* — every spec field except the location,
  * the seed, and the output/cache paths — so the batch shares a single
  * physics-step/sample/epoch timeline and one plant::BatchedPlant.  The
+ * run lifecycle is the scalar one (sim/scenario.hpp): one RunPlan for
+ * the batch, assembleRun() parts and finishRun() per lane.  The
  * per-step protocol transliterates sim::Engine::runRange exactly (same
- * step truncation, sample cadence, control-epoch bookkeeping, command
- * persistence across days); what changes is execution layout:
+ * sample cadence, control-epoch bookkeeping, command persistence across
+ * segments); what changes is execution layout:
  *
  *  - plant physics and sensor noise run as SoA kernels across lanes
  *    (plant/parasol_batch.hpp, fast-math TUs);
@@ -67,7 +69,7 @@ class BatchedEngine
      *               stats().raggedTailLanes).  0 means "exact".
      * @throws std::invalid_argument if the batch is empty, a spec has
      *         batch == 0, shapes differ, or the shared shape is
-     *         unrunnable (ScenarioBuilder's validation).
+     *         unrunnable (RunPlan::forSpec).
      *
      * Per-lane construction failures (e.g. trace output requested) do
      * NOT throw: the lane is marked dead and surfaces as a failed
@@ -78,10 +80,16 @@ class BatchedEngine
 
     int lanes() const { return int(_lanes.size()); }
 
+    /** Fold @p source's stats into every lane's RunReport. */
+    void setReportStatsSource(ReportStatsSource source)
+    {
+        _reportSource = std::move(source);
+    }
+
     /**
-     * Run the shared runKind protocol and return one LaneResult per
-     * lane, in spec order.  Writes per-lane RunReports (reportJsonPath)
-     * and merges stats into obs::registry() when obs is enabled.  Call
+     * Step the shared RunPlan and return one LaneResult per lane, in
+     * spec order, each finished by finishRun() (per-lane RunReports,
+     * stats merged into obs::registry() when obs is enabled).  Call
      * once.
      */
     std::vector<LaneResult> run();
@@ -89,33 +97,22 @@ class BatchedEngine
     /** Batch counters of this engine (valid after run()). */
     const BatchStats &stats() const { return _stats; }
 
-    /** Noise-free plant probe for tests. */
-    const plant::BatchedPlant &plant() const { return *_plant; }
-
   private:
-    void runDay(int day_of_year);
-    void runDayRange(int start_day, int end_day);
+    void runSegment(const RunSegment &segment);
     void runRange(int64_t start_s, int64_t end_s, bool collect);
     void sampleAll(util::SimTime now, bool collect);
-    void initDay(int64_t warm_start_s);
     void refreshGrids(int64_t from_s, int64_t end_s);
     void failLane(int lane, const char *what);
-    void collectLaneStats(const LaneState &lane,
-                          obs::StatsRegistry &reg) const;
     void addBatchStats(obs::StatsRegistry &reg) const;
 
     std::vector<LaneState> _lanes;
     std::unique_ptr<plant::BatchedPlant> _plant;
     plant::PlantConfig _plantConfig;
-
-    // Shared timeline (shape-derived).
-    double _physicsStepS = 0.0;
-    int64_t _stepS = 0;        ///< int64_t(physicsStepS), like Engine.
-    int64_t _intervalS = 0;    ///< max(60, step), like ScenarioBuilder.
-    int64_t _warmupS = 0;
+    RunPlan _plan;  ///< Shared by every lane (shape-derived).
+    ReportStatsSource _reportSource;
 
     // Current grid chunk: lane grids all start at _gridStartS with
-    // _gridPoints samples spaced _stepS apart.
+    // _gridPoints samples spaced _plan.stepS apart.
     int64_t _gridStartS = 0;
     int _gridPoints = 0;
 
@@ -140,12 +137,15 @@ class BatchedEngine
 /**
  * Run one spec through the batched engine (a single-lane batch).
  * The batched counterpart of the scalar scenario path behind
- * runExperiment(); spec.batch must be positive.
+ * runUncached(); spec.batch must be positive.  @p report_source, when
+ * set, folds extra stats into the lane's RunReport.
  *
  * @throws std::invalid_argument for an unrunnable spec,
  *         std::runtime_error if the lane itself fails.
  */
-ExperimentResult runBatchedExperiment(const ExperimentSpec &spec);
+ExperimentResult
+runBatchedExperiment(const ExperimentSpec &spec,
+                     const ReportStatsSource &report_source = {});
 
 /**
  * Run several same-shape specs as one batch, returning per-lane

@@ -1,9 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "util/logging.hpp"
 
 namespace coolair {
 namespace sim {
@@ -17,6 +17,13 @@ Engine::Engine(plant::Plant &plant, workload::WorkloadModel &workload,
       _climate(climate),
       _config(config)
 {
+    // The range check keeps the integer cast defined; the multiple check
+    // keeps every sample on a physics step.
+    if (!(config.sampleIntervalS > 0 && config.physicsStepS >= 1.0 &&
+          config.physicsStepS <= double(config.sampleIntervalS)) ||
+        config.sampleIntervalS % int64_t(config.physicsStepS) != 0)
+        throw std::invalid_argument("Engine: sample interval must be a "
+                                    "multiple of the physics step");
     _command = cooling::Regime::closed();
 }
 
@@ -37,9 +44,9 @@ Engine::sample(util::SimTime now, bool collect,
         }
         ControlDecision decision =
             _controller.control(_sensors, status, _load, now);
-        ++_stats.controlEpochs;
+        ++_counters.controlEpochs;
         if (!(decision.regime == _command))
-            ++_stats.regimeTransitions;
+            ++_counters.regimeTransitions;
         _command = decision.regime;
         if (decision.hasPlan)
             _workload.applyPlan(decision.plan);
@@ -49,9 +56,9 @@ Engine::sample(util::SimTime now, bool collect,
     if (!collect)
         return;
 
-    ++_stats.samples;
+    ++_counters.samples;
     if (_sensors.cooling.mode == cooling::Mode::AirConditioning)
-        ++_acSamples;
+        ++_counters.acSamples;
 
     if (_metrics) {
         _metrics->record(now, _sensors, double(_config.sampleIntervalS),
@@ -97,12 +104,9 @@ Engine::runRange(util::SimTime start, util::SimTime end, bool collect)
 
     const int64_t step = int64_t(_config.physicsStepS);
     const int64_t interval = _config.sampleIntervalS;
-    if (step <= 0 || interval <= 0 || interval % step != 0)
-        util::fatal("Engine: sample interval must be a multiple of the "
-                    "physics step");
 
     for (int64_t t = start.seconds(); t < end.seconds(); t += step) {
-        ++_stats.steps;
+        ++_counters.steps;
         util::SimTime now(t);
         // One weather evaluation serves the metrics/trace sample and the
         // physics step at this instant (sample() used to re-evaluate the
@@ -122,61 +126,17 @@ Engine::runRange(util::SimTime start, util::SimTime end, bool collect)
 }
 
 void
-Engine::runDay(int day_of_year)
+Engine::runSegment(const RunSegment &segment)
 {
     obs::Span span("engine.runDay");
-    util::SimTime day_start =
-        util::SimTime(int64_t(day_of_year) * util::kSecondsPerDay);
-    util::SimTime warm_start = day_start - _config.warmupS;
+    const util::SimTime warm_start(segment.warmStartS);
+    const util::SimTime start(segment.startS);
 
     _plant.initializeSteadyState(_climate.sample(warm_start));
-    _nextControlS = warm_start.seconds();
-
-    runRange(warm_start, day_start, /*collect=*/false);
-    runRange(day_start, day_start + util::kSecondsPerDay, /*collect=*/true);
-}
-
-void
-Engine::runDayRange(int start_day, int end_day)
-{
-    if (end_day <= start_day)
-        return;
-    obs::Span span("engine.runDayRange");
-
-    util::SimTime start =
-        util::SimTime(int64_t(start_day) * util::kSecondsPerDay);
-    util::SimTime end = util::SimTime(int64_t(end_day) * util::kSecondsPerDay);
-    util::SimTime warm_start = start - _config.warmupS;
-
-    _plant.initializeSteadyState(_climate.sample(warm_start));
-    _nextControlS = warm_start.seconds();
+    _nextControlS = segment.warmStartS;
 
     runRange(warm_start, start, /*collect=*/false);
-    runRange(start, end, /*collect=*/true);
-}
-
-std::vector<int>
-yearSampleDays(int weeks)
-{
-    std::vector<int> days;
-    if (weeks <= 0)
-        return days;
-    days.reserve(size_t(weeks));
-    // Uniform stride across the whole year: for 52 weeks this is exactly
-    // the §5.1 first-day-of-each-week protocol (w * 365 / 52 == 7 * w for
-    // w < 52); for shorter runs the stride grows so the sample still
-    // covers every season instead of just January onward.
-    for (int w = 0; w < weeks; ++w)
-        days.push_back(int(int64_t(w) * util::kDaysPerYear / weeks) %
-                       util::kDaysPerYear);
-    return days;
-}
-
-void
-Engine::runYearWeekly(int weeks)
-{
-    for (int day : yearSampleDays(weeks))
-        runDay(day);
+    runRange(start, util::SimTime(segment.endS), /*collect=*/true);
 }
 
 } // namespace sim

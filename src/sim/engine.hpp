@@ -5,8 +5,8 @@
  * @file
  * The co-simulation engine: steps climate -> workload -> plant, invokes
  * the controller on its epoch, and feeds the metrics collector and an
- * optional trace sink.  Year-long studies follow §5.1: simulate the
- * first day of each week, repeating the day-long workload.
+ * optional trace sink.  What it runs is a RunPlan's segments
+ * (sim/run_plan.hpp); the spec-level lifecycle lives in sim/scenario.hpp.
  */
 
 #include <functional>
@@ -16,6 +16,7 @@
 #include "plant/parasol.hpp"
 #include "sim/controller.hpp"
 #include "sim/metrics.hpp"
+#include "sim/run_plan.hpp"
 #include "workload/model.hpp"
 
 namespace coolair {
@@ -29,9 +30,6 @@ struct EngineConfig
 
     /** Sensor sampling / metrics interval [s]. */
     int64_t sampleIntervalS = 60;
-
-    /** Warm-up run before each measured day [s] (no metrics). */
-    int64_t warmupS = 2 * util::kSecondsPerHour;
 };
 
 /** One row of a run trace, for CSV dumps and figures. */
@@ -57,18 +55,14 @@ struct TraceRow
 /** Callback invoked once per sample interval. */
 using TraceSink = std::function<void(const TraceRow &)>;
 
-/**
- * The days of the year sampled by Engine::runYearWeekly(): @p weeks
- * days spread uniformly across the whole year.  For 52 weeks this is
- * exactly the §5.1 first-day-of-each-week protocol; for shorter runs
- * the stride grows so the sample still spans all seasons.
- */
-std::vector<int> yearSampleDays(int weeks);
-
 /** Drives one (plant, workload, controller) assembly. */
 class Engine
 {
   public:
+    /**
+     * @throws std::invalid_argument unless config.sampleIntervalS is a
+     *         positive multiple of a physics step of at least 1 s.
+     */
     Engine(plant::Plant &plant, workload::WorkloadModel &workload,
            Controller &controller, const environment::WeatherProvider &climate,
            const EngineConfig &config = {});
@@ -86,44 +80,27 @@ class Engine
     void runRange(util::SimTime start, util::SimTime end, bool collect);
 
     /**
-     * Measure one calendar day (with warm-up): initialize the plant near
-     * steady state, run the warm-up window, then the measured day.
+     * Run one plan segment: initialize the plant near steady state,
+     * warm up, then measure.  Control state (the commanded regime)
+     * persists across segments.
      */
-    void runDay(int day_of_year);
+    void runSegment(const RunSegment &segment);
 
-    /**
-     * Measure the continuous day span [@p start_day, @p end_day) as one
-     * run: initialize near steady state, warm up before the first day,
-     * then collect across the whole range (multi-day studies like
-     * Figure 1's two-day trace).
-     */
-    void runDayRange(int start_day, int end_day);
-
-    /**
-     * §5.1 year protocol: measure @p weeks days spread uniformly across
-     * the year (the first day of each week at 52; see yearSampleDays()).
-     */
-    void runYearWeekly(int weeks = 52);
-
-    /** Lifetime stepping counters (plain increments; harvested once per
-        run by the scenario). */
-    struct EngineStats
+    /** Measure one calendar day (with warm-up). */
+    void runDay(int day_of_year)
     {
-        int64_t steps = 0;              ///< physics steps taken
-        int64_t samples = 0;            ///< collected metric samples
-        int64_t controlEpochs = 0;      ///< controller invocations
-        int64_t regimeTransitions = 0;  ///< commanded regime changes
-        int64_t acMinutes = 0;          ///< collected minutes in AC mode
-    };
-
-    EngineStats stats() const
-    {
-        EngineStats s = _stats;
-        // _stats tallies AC *samples*; scale by the sample interval so
-        // the harvested figure is wall-of-simulation minutes.
-        s.acMinutes = _acSamples * _config.sampleIntervalS / 60;
-        return s;
+        runSegment(RunSegment::days(day_of_year, day_of_year + 1));
     }
+
+    /** §5.1 year protocol: measure yearSampleDays(@p weeks). */
+    void runYearWeekly(int weeks = 52)
+    {
+        for (const RunSegment &segment : yearSegments(weeks))
+            runSegment(segment);
+    }
+
+    /** Lifetime stepping counters (harvested once per run). */
+    const RunCounters &counters() const { return _counters; }
 
   private:
     void sample(util::SimTime now, bool collect,
@@ -141,8 +118,7 @@ class Engine
     cooling::Regime _command;
     int64_t _nextControlS = 0;
 
-    EngineStats _stats;
-    int64_t _acSamples = 0;
+    RunCounters _counters;
 
     // Reused across every step/sample so steady-state stepping performs
     // no heap allocation (buffers reach capacity within one sample).

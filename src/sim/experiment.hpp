@@ -228,9 +228,10 @@ void prewarmSharedState(const std::vector<ExperimentSpec> &specs);
  * range).  Assembles the stack through the scenario layer
  * (sim/scenario.hpp).
  *
- * @throws std::invalid_argument for an unrunnable spec (nonpositive
- *         weeks or physics step, empty day range), so sweep drivers can
- *         report the failing spec instead of aborting the process.
+ * @throws std::invalid_argument for an unrunnable spec (a run-shape
+ *         key outside its RunPlan::forSpec domain, named in the
+ *         message), so sweep drivers and the server can report the
+ *         failing spec instead of aborting the process.
  */
 ExperimentResult runExperiment(const ExperimentSpec &spec);
 
@@ -239,8 +240,8 @@ ExperimentResult runExperiment(const ExperimentSpec &spec);
  * spec.runKind.  Equivalent to runExperiment with runKind forced to
  * YearWeekly; kept as the historical entry point of the figure benches.
  *
- * @throws std::invalid_argument for an unrunnable spec (nonpositive
- *         weeks or physics step).
+ * @throws std::invalid_argument for an unrunnable spec (see
+ *         runExperiment).
  */
 ExperimentResult runYearExperiment(const ExperimentSpec &spec);
 

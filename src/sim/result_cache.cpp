@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/report.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/scenario.hpp"
 #include "sim/spec_io.hpp"
 
@@ -63,23 +62,11 @@ ExperimentResult
 runAndStore(const ExperimentSpec &spec, store::ResultStore &st,
             const std::string &id)
 {
-    ExperimentResult result;
-    if (spec.batch > 0) {
-        // Batched one-lane run; the batch engine writes its own
-        // RunReport, so the store's counters are published globally by
-        // the caller instead of folded into the report.
-        result = runBatchedExperiment(spec);
-    } else {
-        // Wire the store's counters into any RunReport this run writes
-        // (they land after the report's global merge, so the sweep-level
-        // publication in the runner stays the single global source).
-        auto scenario =
-            ScenarioBuilder(spec)
-                .withReportStatsSource(
-                    [&st](obs::StatsRegistry &reg) { st.addStats(reg); })
-                .build();
-        result = scenario->run();
-    }
+    // Wire the store's counters into any RunReport this run writes
+    // (they land after the report's global merge, so the sweep-level
+    // publication in the runner stays the single global source).
+    ExperimentResult result = runUncached(
+        spec, [&st](obs::StatsRegistry &reg) { st.addStats(reg); });
     // Store only after the run succeeded: a throwing job reports its
     // failure through the runner and never poisons the store.
     st.store(id, formatResult(result));

@@ -1,0 +1,81 @@
+#ifndef COOLAIR_SIM_RUN_PLAN_HPP
+#define COOLAIR_SIM_RUN_PLAN_HPP
+
+/**
+ * @file
+ * The run plan: what span of simulated time a spec covers and on what
+ * timeline, derived and validated in one place for both engines.
+ *
+ * A run is a list of segments, each a warm-up followed by a measured
+ * span.  The scalar Engine and the BatchedEngine step the same plan
+ * segment by segment and count their work in RunCounters, so both
+ * report the same step and sample counts for the same spec.
+ */
+
+#include <cstdint>
+#include <vector>
+
+#include "sim/experiment.hpp"
+#include "util/sim_time.hpp"
+
+namespace coolair {
+namespace sim {
+
+/** Warm-up run before each measured segment [s] (no metrics). */
+inline constexpr int64_t kWarmupS = 2 * util::kSecondsPerHour;
+
+/** One segment: warm up over [warmStartS, startS), measure [startS, endS). */
+struct RunSegment
+{
+    int64_t warmStartS = 0;
+    int64_t startS = 0;
+    int64_t endS = 0;
+
+    /** Measure the days [@p first_day, @p end_day) after a kWarmupS warm-up. */
+    static RunSegment days(int first_day, int end_day);
+};
+
+/**
+ * The days of the year sampled by a YearWeekly run: @p weeks days
+ * spread uniformly across the whole year.  For 52 weeks this is exactly
+ * the §5.1 first-day-of-each-week protocol; for shorter runs the stride
+ * grows so the sample still spans all seasons.
+ */
+std::vector<int> yearSampleDays(int weeks);
+
+/** One one-day segment per yearSampleDays(@p weeks) day. */
+std::vector<RunSegment> yearSegments(int weeks);
+
+/** The timeline and segments of one run. */
+struct RunPlan
+{
+    int64_t stepS = 0;            ///< Physics step [s].
+    int64_t sampleIntervalS = 0;  ///< Sensor/metrics interval: max(60, step).
+    std::vector<RunSegment> segments;
+
+    /**
+     * The plan of @p spec's run kind.  Every run-shape key is checked
+     * against its domain before any integer conversion:
+     * physics_step integral in [1, 3600] and dividing 60 when below 60,
+     * weeks in [1, 52], day in [0, 365), and
+     * 0 <= start_day < end_day <= start_day + 365.
+     *
+     * @throws std::invalid_argument naming the offending key.
+     */
+    static RunPlan forSpec(const ExperimentSpec &spec);
+};
+
+/** What one engine (or one batch lane) did during a run. */
+struct RunCounters
+{
+    int64_t steps = 0;              ///< Physics steps taken.
+    int64_t samples = 0;            ///< Collected metric samples.
+    int64_t controlEpochs = 0;      ///< Controller invocations.
+    int64_t regimeTransitions = 0;  ///< Commanded regime changes.
+    int64_t acSamples = 0;          ///< Collected samples in AC mode.
+};
+
+} // namespace sim
+} // namespace coolair
+
+#endif // COOLAIR_SIM_RUN_PLAN_HPP

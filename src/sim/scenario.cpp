@@ -1,6 +1,5 @@
 #include "sim/scenario.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -146,74 +145,54 @@ makeController(const ExperimentSpec &spec,
 }
 
 // ---------------------------------------------------------------------------
-// Scenario.
+// Run assembly and finalization.
 // ---------------------------------------------------------------------------
 
-ExperimentResult
-Scenario::run()
+RunParts
+assembleRun(const ExperimentSpec &spec, std::unique_ptr<Controller> controller,
+            const std::optional<MetricsConfig> &metrics_config)
 {
-    const bool want_report = !_spec.reportJsonPath.empty();
-    std::chrono::steady_clock::time_point t0;
-    if (want_report)
-        t0 = std::chrono::steady_clock::now();
+    RunParts parts;
+    parts.climate = std::make_unique<environment::Climate>(
+        spec.location.makeClimate(spec.seed));
 
-    {
-        obs::Span span("scenario.run");
-        switch (_spec.runKind) {
-          case RunKind::YearWeekly:
-            _engine->runYearWeekly(_spec.weeks);
-            break;
-          case RunKind::SingleDay:
-            _engine->runDay(_spec.day);
-            break;
-          case RunKind::DayRange:
-            _engine->runDayRange(_spec.startDay, _spec.endDay);
-            break;
-        }
-    }
+    // The cache memoizes exact samples on the day-grid shared by the
+    // engine loop and the forecaster's hourly queries; a physics step
+    // with no integral grid falls back to the raw climate.
+    int64_t grid = environment::weatherCacheGridStepS(spec.physicsStepS);
+    if (spec.weatherCache && grid > 0)
+        parts.cache = std::make_unique<environment::CachedWeatherProvider>(
+            *parts.climate, grid);
 
-    ExperimentResult result;
-    result.system = _metrics->summary();
-    result.outside = _metrics->outsideSummary();
+    parts.forecaster = std::make_unique<environment::Forecaster>(
+        parts.weather(), spec.forecastError, spec.seed);
 
-    // Everything below runs after the simulation finished, so it can't
-    // perturb sim results; with obs off and no report requested it is
-    // skipped entirely.
-    if (obs::enabled() || want_report) {
-        obs::StatsRegistry local;
-        collectStats(local);
-        if (obs::enabled())
-            obs::registry().merge(local);
-        if (want_report) {
-            // Report-only extras (the result store's counters) fold in
-            // after the global merge, so their owner can publish them
-            // to obs::registry() itself without double counting.
-            for (const auto &source : _reportStatsSources)
-                source(local);
-            double wall = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-            writeReport(result, local, wall);
-        }
-    }
+    parts.workload = makeWorkload(spec);
 
-    if (!_spec.traceJsonPath.empty()) {
-        std::ofstream os(_spec.traceJsonPath);
-        if (!os)
-            throw std::runtime_error(
-                "Scenario: cannot open trace JSON path: " +
-                _spec.traceJsonPath);
-        obs::Tracer::instance().writeJson(os);
-    }
-    return result;
+    parts.controller = controller
+                           ? std::move(controller)
+                           : makeController(spec, parts.forecaster.get());
+
+    MetricsConfig mc;
+    if (metrics_config)
+        mc = *metrics_config;
+    else
+        mc.maxTempC = spec.maxTempC;
+    parts.metrics = std::make_unique<MetricsCollector>(
+        mc, plantConfigFor(spec).numPods);
+    return parts;
 }
 
+namespace {
+
+/** Every component counter of a finished run, into @p reg. */
 void
-Scenario::collectStats(obs::StatsRegistry &reg) const
+harvestStats(const RunPlan &plan, const RunParts &parts,
+             const RunCounters &counters, obs::StatsRegistry &reg)
 {
-    if (_weather) {
+    if (parts.cache) {
         environment::CachedWeatherProvider::CacheStats cs =
-            _weather->cacheStats();
+            parts.cache->cacheStats();
         reg.counter("weather.cache.hits", "grid queries served from memo")
             .add(cs.hits);
         reg.counter("weather.cache.misses", "grid queries that evaluated")
@@ -225,28 +204,91 @@ Scenario::collectStats(obs::StatsRegistry &reg) const
             .add(cs.passthrough);
         reg.counter("weather.underlying_evals",
                     "climate-model evaluations actually performed")
-            .add(_weather->underlyingEvals());
+            .add(parts.cache->underlyingEvals());
     }
 
-    _controller->addStats(reg);
+    parts.controller->addStats(reg);
 
-    Engine::EngineStats es = _engine->stats();
-    reg.counter("engine.steps", "physics steps taken").add(es.steps);
+    reg.counter("engine.steps", "physics steps taken").add(counters.steps);
     reg.counter("engine.samples", "collected metric samples")
-        .add(es.samples);
+        .add(counters.samples);
     reg.counter("engine.control_epochs", "controller invocations")
-        .add(es.controlEpochs);
+        .add(counters.controlEpochs);
     reg.counter("engine.regime_transitions", "commanded regime changes")
-        .add(es.regimeTransitions);
+        .add(counters.regimeTransitions);
     reg.counter("engine.ac_minutes",
                 "collected simulated minutes in AC mode")
-        .add(es.acMinutes);
+        .add(counters.acSamples * plan.sampleIntervalS / 60);
 
-    const int64_t sample_s =
-        std::max<int64_t>(60, int64_t(_spec.physicsStepS));
     reg.counter("metrics.violation_minutes",
                 "simulated minutes with max inlet above the desired max")
-        .add(_metrics->violationSamples() * sample_s / 60);
+        .add(parts.metrics->violationSamples() * plan.sampleIntervalS / 60);
+}
+
+} // anonymous namespace
+
+ExperimentResult
+finishRun(const ExperimentSpec &spec, const RunPlan &plan,
+          const RunParts &parts, const RunCounters &counters,
+          double wall_seconds, const ReportStatsSource &report_source)
+{
+    ExperimentResult result;
+    result.system = parts.metrics->summary();
+    result.outside = parts.metrics->outsideSummary();
+
+    const bool want_report = !spec.reportJsonPath.empty();
+    if (obs::enabled() || want_report) {
+        obs::StatsRegistry local;
+        harvestStats(plan, parts, counters, local);
+        if (obs::enabled())
+            obs::registry().merge(local);
+        if (want_report) {
+            // Report-only extras fold in after the global merge, so their
+            // owner can publish them to obs::registry() itself without
+            // double counting.
+            if (report_source)
+                report_source(local);
+            // Exact simulated span, warm-ups included: every physics step
+            // advances the clock by one step.
+            obs::RunReport report =
+                makeRunReport(spec, result, wall_seconds,
+                              double(counters.steps) * spec.physicsStepS);
+            std::ofstream os(spec.reportJsonPath);
+            if (!os)
+                throw std::runtime_error("cannot open report JSON path: " +
+                                         spec.reportJsonPath);
+            obs::writeRunReport(os, report, local);
+        }
+    }
+
+    if (!spec.traceJsonPath.empty()) {
+        std::ofstream os(spec.traceJsonPath);
+        if (!os)
+            throw std::runtime_error("cannot open trace JSON path: " +
+                                     spec.traceJsonPath);
+        obs::Tracer::instance().writeJson(os);
+    }
+    return result;
+}
+
+// ---------------------------------------------------------------------------
+// Scenario.
+// ---------------------------------------------------------------------------
+
+ExperimentResult
+Scenario::run(const ReportStatsSource &report_source)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+        obs::Span span("scenario.run");
+        for (const RunSegment &segment : _plan.segments)
+            _engine->runSegment(segment);
+    }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    return finishRun(_spec, _plan, _parts, _engine->counters(), wall,
+                     report_source);
 }
 
 obs::RunReport
@@ -276,49 +318,6 @@ makeRunReport(const ExperimentSpec &spec, const ExperimentResult &result,
     return report;
 }
 
-void
-Scenario::writeReport(const ExperimentResult &result,
-                      const obs::StatsRegistry &stats,
-                      double wall_seconds) const
-{
-    // Exact simulated span, warm-ups included: every physics step
-    // advances the clock by one step.
-    obs::RunReport report = makeRunReport(
-        _spec, result, wall_seconds,
-        double(_engine->stats().steps) * _spec.physicsStepS);
-
-    std::ofstream os(_spec.reportJsonPath);
-    if (!os)
-        throw std::runtime_error("Scenario: cannot open report JSON path: " +
-                                 _spec.reportJsonPath);
-    obs::writeRunReport(os, report, stats);
-}
-
-void
-Scenario::addTraceSink(TraceSink sink)
-{
-    _sinks.push_back(std::move(sink));
-    installFanout();
-}
-
-void
-Scenario::installFanout()
-{
-    if (_sinks.empty())
-        return;
-    if (_sinks.size() == 1) {
-        _engine->setTraceSink(_sinks.front());
-        return;
-    }
-    // The engine takes one sink; fan out to all registered ones.  The
-    // lambda captures `this`, which is stable: scenarios live on the
-    // heap behind unique_ptr.
-    _engine->setTraceSink([this](const TraceRow &row) {
-        for (const TraceSink &sink : _sinks)
-            sink(row);
-    });
-}
-
 // ---------------------------------------------------------------------------
 // ScenarioBuilder.
 // ---------------------------------------------------------------------------
@@ -338,7 +337,6 @@ ScenarioBuilder::withController(std::unique_ptr<Controller> controller)
 ScenarioBuilder &
 ScenarioBuilder::withMetricsConfig(const MetricsConfig &config)
 {
-    _hasMetricsConfig = true;
     _metricsConfig = config;
     return *this;
 }
@@ -350,29 +348,12 @@ ScenarioBuilder::withTraceSink(TraceSink sink)
     return *this;
 }
 
-ScenarioBuilder &
-ScenarioBuilder::withReportStatsSource(
-    std::function<void(obs::StatsRegistry &)> source)
-{
-    _reportStatsSources.push_back(std::move(source));
-    return *this;
-}
-
 std::unique_ptr<Scenario>
 ScenarioBuilder::build()
 {
-    if (_spec.physicsStepS <= 0.0)
-        throw std::invalid_argument(
-            "ExperimentSpec: physics step must be positive");
-    if (_spec.runKind == RunKind::YearWeekly && _spec.weeks <= 0)
-        throw std::invalid_argument("ExperimentSpec: weeks must be positive");
-    if (_spec.runKind == RunKind::DayRange && _spec.endDay <= _spec.startDay)
-        throw std::invalid_argument(
-            "ExperimentSpec: day range must be non-empty");
-
     auto scenario = std::unique_ptr<Scenario>(new Scenario());
+    scenario->_plan = RunPlan::forSpec(_spec);
     scenario->_spec = _spec;
-    scenario->_reportStatsSources = std::move(_reportStatsSources);
 
     // A trace export request turns the process-wide tracer on for the
     // whole run (spans recorded by any component from here on).
@@ -380,46 +361,19 @@ ScenarioBuilder::build()
         obs::Tracer::instance().setEnabled(true);
 
     // Assembly order mirrors the original runYearExperiment exactly.
-    plant::PlantConfig pc = plantConfigFor(_spec);
-    scenario->_plant = std::make_unique<plant::Plant>(pc, _spec.seed);
-
-    scenario->_climate = std::make_unique<environment::Climate>(
-        _spec.location.makeClimate(_spec.seed));
-
-    // The cache memoizes exact samples on the day-grid shared by the
-    // engine loop and the forecaster's hourly queries; a physics step
-    // with no integral grid falls back to the raw climate.
-    int64_t grid = environment::weatherCacheGridStepS(_spec.physicsStepS);
-    if (_spec.weatherCache && grid > 0)
-        scenario->_weather =
-            std::make_unique<environment::CachedWeatherProvider>(
-                *scenario->_climate, grid);
-
-    scenario->_forecaster = std::make_unique<environment::Forecaster>(
-        scenario->weather(), _spec.forecastError, _spec.seed);
-
-    scenario->_workload = makeWorkload(_spec);
-
-    scenario->_controller =
-        _controller ? std::move(_controller)
-                    : makeController(_spec, scenario->_forecaster.get());
-
-    MetricsConfig mc;
-    if (_hasMetricsConfig)
-        mc = _metricsConfig;
-    else
-        mc.maxTempC = _spec.maxTempC;
-    scenario->_metrics = std::make_unique<MetricsCollector>(mc, pc.numPods);
+    scenario->_plant = makePlant(_spec);
+    scenario->_parts =
+        assembleRun(_spec, std::move(_controller), _metricsConfig);
 
     EngineConfig ec;
     ec.physicsStepS = _spec.physicsStepS;
-    ec.sampleIntervalS = std::max<int64_t>(60, int64_t(_spec.physicsStepS));
+    ec.sampleIntervalS = scenario->_plan.sampleIntervalS;
+    const RunParts &parts = scenario->_parts;
     scenario->_engine = std::make_unique<Engine>(
-        *scenario->_plant, *scenario->_workload, *scenario->_controller,
-        scenario->weather(), ec);
-    scenario->_engine->setMetrics(scenario->_metrics.get());
+        *scenario->_plant, *parts.workload, *parts.controller,
+        parts.weather(), ec);
+    scenario->_engine->setMetrics(parts.metrics.get());
 
-    scenario->_sinks = std::move(_sinks);
     if (!_spec.traceCsvPath.empty()) {
         scenario->_csv =
             std::make_unique<std::ofstream>(_spec.traceCsvPath);
@@ -427,11 +381,15 @@ ScenarioBuilder::build()
             throw std::runtime_error("Scenario: cannot open trace CSV path: " +
                                      _spec.traceCsvPath);
         writeTraceCsvHeader(*scenario->_csv);
-        std::ofstream *csv = scenario->_csv.get();
-        scenario->_sinks.push_back(
-            [csv](const TraceRow &row) { writeTraceCsvRow(*csv, row); });
+        _sinks.push_back(makeCsvTraceSink(*scenario->_csv));
     }
-    scenario->installFanout();
+    // The engine takes one sink; fan out to all registered ones.
+    if (!_sinks.empty())
+        scenario->_engine->setTraceSink(
+            [sinks = std::move(_sinks)](const TraceRow &row) {
+                for (const TraceSink &sink : sinks)
+                    sink(row);
+            });
 
     return scenario;
 }
@@ -455,12 +413,18 @@ runExperiment(const ExperimentSpec &spec)
             st.addStats(obs::registry());
         return result;
     }
+    return runUncached(spec);
+}
+
+ExperimentResult
+runUncached(const ExperimentSpec &spec, const ReportStatsSource &report_source)
+{
     // batch= routes through the lane-batched engine (a one-lane batch
     // here; sweeps group lanes in ExperimentRunner).  Opt-in only: the
     // batched path carries a tolerance contract, not bit-identity.
     if (spec.batch > 0)
-        return runBatchedExperiment(spec);
-    return ScenarioBuilder(spec).build()->run();
+        return runBatchedExperiment(spec, report_source);
+    return ScenarioBuilder(spec).build()->run(report_source);
 }
 
 ExperimentResult
@@ -479,25 +443,12 @@ ModelSimScenario
 buildModelSimScenario(const ExperimentSpec &spec)
 {
     ModelSimScenario ms;
+    static_cast<RunParts &>(ms) = assembleRun(spec);
     ms.spec = spec;
-
-    ms.climate = std::make_unique<environment::Climate>(
-        spec.location.makeClimate(spec.seed));
-    ms.forecaster = std::make_unique<environment::Forecaster>(
-        *ms.climate, spec.forecastError, spec.seed);
-
     ms.plant = std::make_unique<ModelPlant>(&bundleFor(spec).model,
                                             plantConfigFor(spec));
-    ms.workload = makeWorkload(spec);
-    ms.controller = makeController(spec, ms.forecaster.get());
-
-    MetricsConfig mc;
-    mc.maxTempC = spec.maxTempC;
-    ms.metrics = std::make_unique<MetricsCollector>(
-        mc, plantConfigFor(spec).numPods);
-
     ms.runner = std::make_unique<ModelSimRunner>(*ms.plant, *ms.workload,
-                                                 *ms.controller, *ms.climate);
+                                                 *ms.controller, ms.weather());
     ms.runner->setMetrics(ms.metrics.get());
     return ms;
 }

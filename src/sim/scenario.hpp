@@ -3,9 +3,16 @@
 
 /**
  * @file
- * The scenario layer: one assembly path from a declarative
- * ExperimentSpec to a fully wired (climate, plant, workload,
- * controller, metrics, engine) stack.
+ * The scenario layer: one run lifecycle from a declarative
+ * ExperimentSpec, shared by the scalar and the batched engine:
+ *
+ *  1. plan      — RunPlan::forSpec validates the run shape and lists the
+ *                 segments to step (sim/run_plan.hpp);
+ *  2. assembly  — assembleRun builds the per-run parts (climate, weather
+ *                 provider, forecaster, workload, controller, metrics);
+ *  3. stepper   — Engine or BatchedEngine steps the plan's segments;
+ *  4. finalizer — finishRun produces the summary, harvests the counters
+ *                 and writes the RunReport.
  *
  * Every harness — the year experiments, the figure benches, the
  * examples, the multizone driver — goes through the factories or the
@@ -19,6 +26,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "environment/weather_cache.hpp"
@@ -26,6 +34,7 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/model_plant.hpp"
+#include "sim/run_plan.hpp"
 #include "workload/job.hpp"
 
 namespace coolair {
@@ -85,84 +94,107 @@ makeController(const ExperimentSpec &spec,
                environment::Forecaster *forecaster);
 
 // ---------------------------------------------------------------------------
+// Run assembly and finalization, shared by both engines.
+// ---------------------------------------------------------------------------
+
+/**
+ * Folds extra stats — e.g. the result store's counters — into a
+ * RunReport's registry.  Never fed to obs::registry(): whoever owns the
+ * underlying counters publishes them globally exactly once (the runner
+ * after a sweep, runExperiment after a standalone run).
+ */
+using ReportStatsSource = std::function<void(obs::StatsRegistry &)>;
+
+/**
+ * The per-run parts every engine consumes.  Parts refer to each other
+ * through their heap addresses, so the bundle stays valid when moved.
+ */
+struct RunParts
+{
+    std::unique_ptr<environment::Climate> climate;
+    /** Grid memo over climate; null when spec.weatherCache is off or the
+        physics step admits no grid. */
+    std::unique_ptr<environment::CachedWeatherProvider> cache;
+    std::unique_ptr<environment::Forecaster> forecaster;
+    std::unique_ptr<workload::WorkloadModel> workload;
+    std::unique_ptr<Controller> controller;
+    std::unique_ptr<MetricsCollector> metrics;
+
+    /** The provider the forecaster and the scalar engine consume: the
+        grid cache when present, the raw climate otherwise. */
+    const environment::WeatherProvider &weather() const
+    {
+        return cache ? static_cast<const environment::WeatherProvider &>(
+                           *cache)
+                     : *climate;
+    }
+};
+
+/**
+ * Build @p spec's parts in the canonical order (climate, cache,
+ * forecaster, workload, controller, metrics).  @p controller and
+ * @p metrics_config replace the spec-derived piece when set.
+ */
+RunParts assembleRun(const ExperimentSpec &spec,
+                     std::unique_ptr<Controller> controller = nullptr,
+                     const std::optional<MetricsConfig> &metrics_config = {});
+
+/**
+ * Finish a stepped run: the summary metrics, plus — only when
+ * obs::enabled() or a RunReport is requested, so it cannot perturb the
+ * simulation — the harvested counters (weather cache, controller,
+ * engine, metrics) merged into obs::registry() and written with
+ * @p report_source's extras to spec.reportJsonPath.  Also exports the
+ * tracer when spec.traceJsonPath is set.
+ *
+ * @throws std::runtime_error if an output path cannot be opened.
+ */
+ExperimentResult finishRun(const ExperimentSpec &spec, const RunPlan &plan,
+                           const RunParts &parts, const RunCounters &counters,
+                           double wall_seconds,
+                           const ReportStatsSource &report_source);
+
+/**
+ * Run @p spec uncached on the engine its batch key selects: the scalar
+ * oracle at batch = 0, a one-lane BatchedEngine otherwise.
+ * @p report_source, when set, folds extra stats into the RunReport.
+ */
+ExperimentResult runUncached(const ExperimentSpec &spec,
+                             const ReportStatsSource &report_source = {});
+
+// ---------------------------------------------------------------------------
 // Scenario: an assembled, runnable experiment.
 // ---------------------------------------------------------------------------
 
 /**
  * A fully assembled experiment stack.  Owns every component, so the
  * engine's references stay valid for the scenario's lifetime.  Build
- * one with ScenarioBuilder; run it with run() (which honors
- * spec().runKind), or drive engine() by hand for custom protocols.
+ * one with ScenarioBuilder; run it with run() (which steps the spec's
+ * RunPlan), or drive engine() by hand for custom protocols.
  */
 class Scenario
 {
   public:
     /**
-     * Run per spec().runKind and return the summary metrics.
-     *
-     * Observability hooks fire after the simulation finishes, so they
-     * cannot perturb it: component counters are harvested into a local
-     * registry (merged into obs::registry() when obs::enabled()), a
-     * RunReport is written when spec().reportJsonPath is set, and the
-     * buffered trace is exported when spec().traceJsonPath is set.
+     * Step the spec's RunPlan and return finishRun()'s result, with
+     * @p report_source's extras in the RunReport.  Call once: counters
+     * are lifetime totals.
      */
-    ExperimentResult run();
+    ExperimentResult run(const ReportStatsSource &report_source = {});
 
-    /**
-     * Harvest every component counter (weather cache, controller,
-     * engine, metrics) into @p reg.  All values are simulation-
-     * deterministic; call at most once per run (counters are lifetime
-     * totals, re-harvesting double-counts on merge).
-     */
-    void collectStats(obs::StatsRegistry &reg) const;
-
-    /** Add a trace sink (fan-out; the CSV sink coexists with these). */
-    void addTraceSink(TraceSink sink);
-
-    const ExperimentSpec &spec() const { return _spec; }
-    const environment::Climate &climate() const { return *_climate; }
-
-    /**
-     * The weather provider the engine and forecaster actually consume:
-     * the grid cache when spec().weatherCache is on (and the physics
-     * step admits a grid), the raw climate otherwise.
-     */
-    const environment::WeatherProvider &weather() const
-    {
-        return _weather ? static_cast<const environment::WeatherProvider &>(
-                              *_weather)
-                        : *_climate;
-    }
-
-    environment::Forecaster &forecaster() { return *_forecaster; }
-    plant::Plant &plant() { return *_plant; }
-    workload::WorkloadModel &workload() { return *_workload; }
-    Controller &controller() { return *_controller; }
-    MetricsCollector &metrics() { return *_metrics; }
+    Controller &controller() { return *_parts.controller; }
     Engine &engine() { return *_engine; }
 
   private:
     friend class ScenarioBuilder;
     Scenario() = default;
 
-    void installFanout();
-    void writeReport(const ExperimentResult &result,
-                     const obs::StatsRegistry &stats,
-                     double wall_seconds) const;
-
     ExperimentSpec _spec;
-    std::vector<std::function<void(obs::StatsRegistry &)>>
-        _reportStatsSources;
-    std::unique_ptr<environment::Climate> _climate;
-    std::unique_ptr<environment::CachedWeatherProvider> _weather;
-    std::unique_ptr<environment::Forecaster> _forecaster;
+    RunPlan _plan;
     std::unique_ptr<plant::Plant> _plant;
-    std::unique_ptr<workload::WorkloadModel> _workload;
-    std::unique_ptr<Controller> _controller;
-    std::unique_ptr<MetricsCollector> _metrics;
+    RunParts _parts;
     std::unique_ptr<Engine> _engine;
     std::unique_ptr<std::ofstream> _csv;
-    std::vector<TraceSink> _sinks;
 };
 
 /**
@@ -187,25 +219,13 @@ class ScenarioBuilder
     /** Replace the default metrics configuration. */
     ScenarioBuilder &withMetricsConfig(const MetricsConfig &config);
 
-    /** Add a trace sink to the assembled scenario. */
+    /** Add a trace sink (fan-out; the CSV sink coexists with these). */
     ScenarioBuilder &withTraceSink(TraceSink sink);
 
     /**
-     * Add a stats source consulted only when the run writes a RunReport
-     * (spec.reportJsonPath): @p source folds extra stats — e.g. the
-     * result store's counters — into the report's registry.  Sources do
-     * NOT feed obs::registry(); whoever owns the underlying counters
-     * publishes them globally exactly once (the runner after a sweep,
-     * runExperiment after a standalone run).
-     */
-    ScenarioBuilder &
-    withReportStatsSource(std::function<void(obs::StatsRegistry &)> source);
-
-    /**
      * Assemble the stack.
-     * @throws std::invalid_argument for an unrunnable spec (nonpositive
-     *         physics step, nonpositive weeks on a year run, empty day
-     *         range).
+     * @throws std::invalid_argument for an unrunnable spec (any run-shape
+     *         key outside its RunPlan::forSpec domain).
      * @throws std::runtime_error if spec.traceCsvPath cannot be opened.
      */
     std::unique_ptr<Scenario> build();
@@ -213,11 +233,8 @@ class ScenarioBuilder
   private:
     ExperimentSpec _spec;
     std::unique_ptr<Controller> _controller;
-    bool _hasMetricsConfig = false;
-    MetricsConfig _metricsConfig;
+    std::optional<MetricsConfig> _metricsConfig;
     std::vector<TraceSink> _sinks;
-    std::vector<std::function<void(obs::StatsRegistry &)>>
-        _reportStatsSources;
 };
 
 /**
@@ -235,20 +252,15 @@ obs::RunReport makeRunReport(const ExperimentSpec &spec,
 // ---------------------------------------------------------------------------
 
 /**
- * A learned-model simulation stack (ModelPlant + ModelSimRunner) built
- * from the same spec as the physics Scenario, for the paper's
+ * A learned-model simulation stack (ModelPlant + ModelSimRunner) over
+ * the same assembleRun() parts as the physics Scenario, for the paper's
  * real-vs-simulation validation.  Members are exposed directly: these
  * studies drive the runner by hand (custom start states, sample hooks).
  */
-struct ModelSimScenario
+struct ModelSimScenario : RunParts
 {
     ExperimentSpec spec;
-    std::unique_ptr<environment::Climate> climate;
-    std::unique_ptr<environment::Forecaster> forecaster;
     std::unique_ptr<ModelPlant> plant;
-    std::unique_ptr<workload::WorkloadModel> workload;
-    std::unique_ptr<Controller> controller;
-    std::unique_ptr<MetricsCollector> metrics;
     std::unique_ptr<ModelSimRunner> runner;
 };
 

@@ -15,18 +15,12 @@
  */
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "cooling/regime.hpp"
 #include "environment/climate.hpp"
-#include "environment/forecast.hpp"
-#include "plant/parasol.hpp"
-#include "sim/controller.hpp"
 #include "sim/experiment.hpp"
-#include "sim/metrics.hpp"
-#include "workload/model.hpp"
+#include "sim/run_plan.hpp"
+#include "sim/scenario.hpp"
 
 namespace coolair {
 namespace sim {
@@ -36,11 +30,8 @@ struct LaneState
 {
     ExperimentSpec spec;
 
-    std::unique_ptr<environment::Climate> climate;
-    std::unique_ptr<environment::Forecaster> forecaster;
-    std::unique_ptr<workload::WorkloadModel> workload;
-    std::unique_ptr<Controller> controller;
-    std::unique_ptr<MetricsCollector> metrics;
+    /** The lane's assembleRun() parts; empty for a construction-dead lane. */
+    RunParts parts;
 
     /** Pre-evaluated weather for the current grid chunk. */
     environment::WeatherGrid grid;
@@ -68,12 +59,7 @@ struct LaneState
     bool dead = false;
     std::string error;
 
-    // Per-lane run counters (the scalar EngineStats split by lane).
-    int64_t steps = 0;
-    int64_t samples = 0;
-    int64_t controlEpochs = 0;
-    int64_t regimeTransitions = 0;
-    int64_t acSamples = 0;
+    RunCounters counters;
 };
 
 /** Batch-execution counters surfaced through the StatsRegistry. */

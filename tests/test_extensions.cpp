@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the extension features: the weather-provider abstraction
- * with CSV import, wet-bulb psychrometrics, the evaporative pre-cooler,
+ * Tests for the extension features: the weather-provider abstraction,
+ * wet-bulb psychrometrics, the evaporative pre-cooler,
  * the chilled-water backup variant, and sensor-fault injection.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "environment/location.hpp"
 #include "environment/weather.hpp"
@@ -51,38 +50,31 @@ TEST(WetBulb, BelowDryBulbAndMonotoneInRh)
 }
 
 // ---------------------------------------------------------------------------
-// CSV weather
+// Custom weather providers
 // ---------------------------------------------------------------------------
 
-TEST(CsvWeather, ParsesAndInterpolates)
-{
-    std::istringstream csv(
-        "hour,temp_c,rh\n0,10.0,50\n1,12.0,60\n2,14.0,70\n");
-    CsvWeatherSeries w = CsvWeatherSeries::fromCsv(csv);
-    EXPECT_EQ(w.hours(), 3u);
-    EXPECT_NEAR(w.sample(SimTime(0)).tempC, 10.0, 1e-9);
-    // Half past hour 0: interpolated.
-    EXPECT_NEAR(w.sample(SimTime(1800)).tempC, 11.0, 1e-9);
-    EXPECT_NEAR(w.sample(SimTime(1800)).rhPercent, 55.0, 1e-9);
-}
+namespace {
 
-TEST(CsvWeather, WrapsAroundSeries)
+/** A user-supplied provider: constant 18 C / 55 % weather. */
+class ConstantWeather : public WeatherProvider
 {
-    CsvWeatherSeries w({5.0, 15.0}, {40.0, 60.0});
-    // Hour 2 wraps to hour 0.
-    EXPECT_NEAR(w.sample(SimTime(2 * util::kSecondsPerHour)).tempC, 5.0,
-                1e-9);
-    // Hour 1.5 interpolates toward the wrap.
-    EXPECT_NEAR(
-        w.sample(SimTime(util::kSecondsPerHour * 3 / 2)).tempC, 10.0,
-        1e-9);
-}
+  public:
+    WeatherSample sample(SimTime) const override
+    {
+        WeatherSample w;
+        w.tempC = 18.0;
+        w.rhPercent = 55.0;
+        w.absHumidity = physics::absoluteHumidity(18.0, 55.0);
+        return w;
+    }
+};
 
-TEST(CsvWeather, DrivesForecasterAndEngine)
+} // anonymous namespace
+
+TEST(CustomWeather, DrivesForecasterAndEngine)
 {
-    // A flat 18 C recorded series can stand in for the Climate.
-    std::vector<double> temps(48, 18.0), rhs(48, 55.0);
-    CsvWeatherSeries weather(std::move(temps), std::move(rhs));
+    // Any WeatherProvider can stand in for the Climate.
+    ConstantWeather weather;
 
     Forecaster forecaster(weather);
     Forecast fc = forecaster.fullDay(SimTime::fromCalendar(0, 0));

@@ -1,7 +1,6 @@
 /**
  * @file
  * Strict-input regression tests for the untrusted-byte boundaries:
- * weather CSV ingestion (atof silently zeroing garbage cells),
  * environment-variable knobs (atoi accepting typos), the result
  * store's size headers (unchecked digit accumulation wrapping to
  * small values and mis-framing the payload read), and the serve
@@ -23,7 +22,6 @@
 #include <string>
 
 #include "core/predictor.hpp"
-#include "environment/weather.hpp"
 #include "model/cooling_model.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -137,72 +135,6 @@ TEST(EnvInt, MalformedAndOutOfRangeFallBack)
     ::setenv("COOLAIR_TEST_KNOB", "", 1);  // empty counts as unset
     EXPECT_EQ(util::envInt("COOLAIR_TEST_KNOB", 7), 7);
     ::unsetenv("COOLAIR_TEST_KNOB");
-}
-
-// ------------------------------------------------------------- weather CSV
-
-namespace {
-
-environment::CsvWeatherSeries
-parseCsv(const std::string &text)
-{
-    std::istringstream in(text);
-    return environment::CsvWeatherSeries::fromCsv(in);
-}
-
-/** The invalid_argument message for a CSV that must fail to parse. */
-std::string
-csvError(const std::string &text)
-{
-    try {
-        parseCsv(text);
-    } catch (const std::invalid_argument &e) {
-        return e.what();
-    }
-    return "";  // parsed fine (the caller EXPECTs a non-empty message)
-}
-
-} // anonymous namespace
-
-TEST(WeatherCsv, ParsesWellFormedRows)
-{
-    environment::CsvWeatherSeries series = parseCsv("hour,temp_c,rh\n"
-                                                    "0,10.0,50\n"
-                                                    "1,12.5,55\n"
-                                                    "3,14.0,60\n");
-    EXPECT_EQ(series.hours(), 4u);  // hour 2 repeats hour 1
-    EXPECT_DOUBLE_EQ(series.sample(util::SimTime(1 * 3600)).tempC, 12.5);
-    EXPECT_DOUBLE_EQ(series.sample(util::SimTime(2 * 3600)).tempC, 12.5);
-}
-
-TEST(WeatherCsv, RejectsGarbageCellsWithRowNumbers)
-{
-    // Before the fix, atof turned "1o.0" into 1.0 silently.
-    EXPECT_NE(csvError("h,t,rh\n0,1o.0,50\n"), "");
-    EXPECT_NE(csvError("h,t,rh\n0,10.0,50\n1,,55\n").find("weather row 2"),
-              std::string::npos);
-    EXPECT_NE(csvError("h,t,rh\n0,10.0,fifty\n").find("weather row 1"),
-              std::string::npos);
-    EXPECT_NE(csvError("h,t,rh\n0\n"), "");                // missing columns
-    EXPECT_NE(csvError("h,t,rh\n0,10.0,50,9,9\n"), "");    // extra columns
-    // rh_percent is optional; a 2-cell row is well-formed.
-    EXPECT_EQ(csvError("h,t\n0,10.0\n"), "");
-}
-
-TEST(WeatherCsv, RejectsBadHourIndices)
-{
-    EXPECT_NE(csvError("h,t,rh\n-1,10.0,50\n"), "");       // negative
-    EXPECT_NE(csvError("h,t,rh\n0.5,10.0,50\n"), "");      // fractional
-    EXPECT_NE(csvError("h,t,rh\n99999999,10.0,50\n"), ""); // past a year
-    EXPECT_NE(csvError("h,t,rh\n5,10.0,50\n5,11.0,50\n"),  // not increasing
-              "");
-    EXPECT_NE(csvError("h,t,rh\n5,10.0,50\n4,11.0,50\n"), "");
-}
-
-TEST(WeatherCsv, RejectsEmptyInput)
-{
-    EXPECT_NE(csvError("hour,temp_c,rh\n"), "");  // header only
-    EXPECT_NE(csvError(""), "");
 }
 
 // --------------------------------------------------- store size headers
@@ -589,4 +521,76 @@ TEST(PredictorInput, NonPositiveHorizonThrowsInsteadOfExiting)
     EXPECT_THROW(core::CoolingPredictor(&m, 0), std::invalid_argument);
     EXPECT_THROW(core::CoolingPredictor(&m, -3), std::invalid_argument);
     EXPECT_NO_THROW(core::CoolingPredictor(&m, 1));
+}
+
+TEST(ServeSpec, HostileRunShapeKeysAnswerErrOnBothEnginesAndStoreNothing)
+{
+    // Run-shape keys used to end the process (a physics step that does
+    // not divide the sample interval reached util::fatal, and
+    // int64_t(1e300) is undefined) or to simulate and store a
+    // meaningless run (day 9999, a range from day -5).  On the scalar
+    // and the coalesced batched path alike, each must answer ERR naming
+    // the key, store nothing, and leave the server answering PING.
+    TempDir dir;
+    serve::ServiceConfig config;
+    config.cacheDir = (dir.path / "store").string();
+    config.coalesceLanes = 3;
+    config.coalesceWaitMs = 1.0;
+    serve::ExperimentService service(config);
+    serve::ServerConfig server_config;
+    server_config.unixPath = (dir.path / "serve.sock").string();
+    serve::LineServer server(service, server_config);
+    server.start();
+    serve::Client client = serve::Client::connectUnix(server_config.unixPath);
+
+    const std::string base = "RUN site=newark; system=baseline; "
+                             "workload=profile; ";
+    const char *bad[][2] = {
+        {"run=day; day=10; physics_step=7", "physics_step"},
+        {"run=day; day=10; physics_step=0.5", "physics_step"},
+        {"run=day; day=10; physics_step=nan", "physics_step"},
+        {"run=day; day=10; physics_step=inf", "physics_step"},
+        {"run=day; day=10; physics_step=1e300", "physics_step"},
+        {"run=day; day=10; physics_step=3601", "physics_step"},
+        {"run=year; weeks=53; physics_step=120", "weeks"},
+        {"run=year; weeks=100000; physics_step=120", "weeks"},
+        {"run=day; day=9999; physics_step=120", "day"},
+        {"run=day; day=365; physics_step=120", "day"},
+        {"run=day; day=-1; physics_step=120", "day"},
+        {"run=range; start_day=-5; end_day=2; physics_step=120",
+         "start_day"},
+        {"run=range; start_day=0; end_day=400; physics_step=120",
+         "end_day"},
+    };
+    const size_t n_bad = sizeof(bad) / sizeof(bad[0]);
+    for (const char *batch : {"batch=0", "batch=3"}) {
+        for (const auto &[assignment, key] : bad) {
+            const std::string line = base + assignment + "; " + batch;
+            serve::Client::Response r = client.request(line);
+            EXPECT_FALSE(r.ok) << line;
+            EXPECT_NE(r.status.find(key), std::string::npos)
+                << line << " -> " << r.status;
+            serve::Client::Response pong = client.request("PING");
+            ASSERT_TRUE(pong.ok) << line << ": " << pong.error;
+            EXPECT_EQ(pong.status, "PONG");
+        }
+    }
+    EXPECT_EQ(service.stats().counter("serve.run_failures", "").value(),
+              int64_t(2 * n_bad));
+
+    auto stored = [&] {
+        int files = 0;
+        for (const auto &e :
+             fs::recursive_directory_iterator(dir.path / "store"))
+            files += e.is_regular_file() ? 1 : 0;
+        return files;
+    };
+    EXPECT_EQ(stored(), 0);
+
+    // The domain edges still run and store.
+    serve::Client::Response ok = client.request(
+        base + "run=range; start_day=364; end_day=365; physics_step=3600");
+    EXPECT_TRUE(ok.ok) << ok.error << " " << ok.status;
+    EXPECT_EQ(stored(), 1);
+    server.stop();
 }
