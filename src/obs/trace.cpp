@@ -29,12 +29,6 @@ thread_local uint64_t t_traceId = 0;
 
 } // anonymous namespace
 
-void
-setThreadTrack(int tid)
-{
-    t_track = tid;
-}
-
 int
 threadTrack()
 {

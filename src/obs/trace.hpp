@@ -10,11 +10,10 @@
  * Tracer.  When tracing is disabled (the default) a Span costs one
  * relaxed atomic load and nothing else.
  *
- * Tracks: each event carries a tid.  By default that is a process-unique
- * id assigned per OS thread on first use; the runner instead calls
- * setThreadTrack(worker) on each worker so the exported trace shows one
- * named track per worker ("worker 0", "worker 1", ...), matching how the
- * sweep actually parallelises.  The resulting file loads directly in
+ * Tracks: each event carries a tid, a process-unique id assigned per OS
+ * thread on first use; sim::JobPool names its workers' tracks ("pool
+ * worker 0", ...), so the exported trace shows how a sweep or a server
+ * actually parallelises.  The resulting file loads directly in
  * Perfetto / chrome://tracing.
  */
 
@@ -36,7 +35,7 @@ struct TraceEvent
     std::string cat;
     int64_t tsUs = 0;   ///< start, microseconds since tracer epoch
     int64_t durUs = 0;  ///< duration, microseconds
-    int tid = 0;        ///< track id (see setThreadTrack)
+    int tid = 0;        ///< track id (see threadTrack)
 
     /**
      * Request correlation id (0 = none).  Spans inherit the calling
@@ -134,14 +133,7 @@ class Tracer
 void writeTraceEventsJson(std::ostream &os, std::vector<TraceEvent> events,
                           std::vector<std::pair<int, std::string>> tracks);
 
-/**
- * Bind the calling thread to trace track @p tid.  The runner calls this
- * with the worker index so every event a worker emits lands on its own
- * track.  Threads that never call it get a process-unique track id.
- */
-void setThreadTrack(int tid);
-
-/** The calling thread's current trace track id. */
+/** The calling thread's trace track id (process-unique per thread). */
 int threadTrack();
 
 /**

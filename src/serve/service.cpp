@@ -7,7 +7,6 @@
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "serve/protocol.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/result_cache.hpp"
 #include "sim/spec_io.hpp"
 #include "util/logging.hpp"
@@ -28,17 +27,6 @@ latencyBuckets()
     return bounds;
 }
 
-/** serve.lane_fill bucket bounds: how full dispatched batches were.
-    Small counts exact, larger ones coarsening — lane targets past 32
-    are off the efficiency curve anyway (DESIGN.md §10). */
-const std::vector<double> &
-laneFillBuckets()
-{
-    static const std::vector<double> bounds{1,  2,  3,  4,  6,
-                                            8,  12, 16, 24, 32};
-    return bounds;
-}
-
 } // anonymous namespace
 
 ExperimentService::ExperimentService(ServiceConfig config)
@@ -48,47 +36,35 @@ ExperimentService::ExperimentService(ServiceConfig config)
                  : std::make_unique<store::ResultStore>(
                        _config.cacheDir, sim::kResultCacheSalt,
                        sim::kResultFormatVersion)),
+      _hot(_config.hotCacheBytes > 0
+               ? std::make_unique<store::HotResultCache>(
+                     _config.hotCacheBytes, _config.hotCacheShards)
+               : nullptr),
       _requests(_stats.counter("serve.requests", "specs submitted")),
       _parseErrors(_stats.counter("serve.parse_errors",
                                   "submissions rejected as malformed")),
-      _storeHits(_stats.counter("serve.store_hits",
-                                "submissions served from the result store")),
-      _dedupHits(_stats.counter(
-          "serve.dedup_hits",
-          "submissions that joined an in-flight identical run")),
-      _runs(_stats.counter("serve.runs", "simulations actually run")),
-      _runFailures(
-          _stats.counter("serve.run_failures", "simulations that threw")),
-      _coalesced(_stats.counter(
-          "serve.coalesced",
-          "cold submissions parked for cross-request batching")),
-      _fullDispatches(_stats.counter(
-          "serve.coalesce_full_dispatches",
-          "batches dispatched because the lane target filled",
-          obs::kWallClock)),
-      _partialDispatches(_stats.counter(
-          "serve.coalesce_partial_dispatches",
-          "batches dispatched on collection-window expiry",
-          obs::kWallClock)),
       _rejectedBusy(_stats.counter(
           "serve.rejected_busy",
           "submissions refused at the max-pending backlog cap",
           obs::kWallClock)),
-      _parkedGauge(_stats.gauge(
-          "serve.parked", "submissions currently parked for coalescing",
-          obs::kWallClock)),
-      _laneFill(_stats.histogram("serve.lane_fill",
-                                 "lanes per dispatched batch",
-                                 obs::kWallClock, laneFillBuckets())),
       _latency(_stats.histogram("serve.latency_seconds",
                                 "submit-to-done wall latency [s]",
                                 obs::kWallClock, latencyBuckets())),
       _startTime(std::chrono::steady_clock::now()),
-      _pool(_config.threads)
+      _scheduler({.threads = _config.threads,
+                  // <= 0 means dispatch on the collector's next tick.
+                  .coalesceWaitMs = _config.coalesceLanes >= 2
+                                        ? std::max(0.0, _config.coalesceWaitMs)
+                                        : -1.0,
+                  .maxInflight = _config.maxPending,
+                  .hot = _hot.get(),
+                  .stats = &_stats,
+                  .onJobStart = _config.onJobStart,
+                  .onLaneStart = _config.onLaneStart,
+                  .onComplete = [this](sim::Scheduler::Job &job) {
+                      complete(job);
+                  }})
 {
-    if (_config.hotCacheBytes > 0)
-        _hot = std::make_unique<store::HotResultCache>(
-            _config.hotCacheBytes, _config.hotCacheShards);
     if (_config.traceDepth > 0) {
         obs::Tracer &tracer = obs::Tracer::instance();
         if (!tracer.enabled()) {
@@ -104,36 +80,12 @@ ExperimentService::ExperimentService(ServiceConfig config)
             [this] { return mergedSnapshot(); }, ts);
         _sampler->start();
     }
-    if (_config.coalesceLanes >= 2)
-        _collector = std::thread([this] { collectorLoop(); });
 }
 
 ExperimentService::~ExperimentService()
 {
-    // Stop the collector first, then flush whatever it left parked so
-    // every outstanding ticket resolves before the pool drains.
-    if (_collector.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            _stopCollector = true;
-        }
-        _collectorWake.notify_all();
-        _collector.join();
-    }
-    std::vector<ParkedBatchPtr> leftovers;
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        for (auto &entry : _parked)
-            leftovers.push_back(entry.second);
-        _parked.clear();
-        _parkedCount = 0;
-        _parkedGauge.set(0.0);
-    }
-    for (const ParkedBatchPtr &batch : leftovers)
-        dispatchBatch(batch, /*full=*/false);
-    // Drain before the member destructors run so in-flight jobs still
-    // record spans while the tracer is in the state they expect.
-    _pool.drain();
+    // Outstanding jobs complete when _scheduler (the last member) is
+    // destroyed, while everything complete() touches is still alive.
     if (_sampler)
         _sampler->stop();
     if (_enabledTracer)
@@ -155,16 +107,12 @@ ExperimentService::submit(const std::string &spec_text)
 
     _requests.inc();
 
-    sim::ExperimentSpec spec;
-    std::string id;
-    JobPtr job;
-    uint64_t ticket = 0;
-    bool fresh = false;
+    sim::Scheduler::Request request;
     {
         obs::Span span("serve.submit", "serve");
         try {
             obs::Span parseSpan("serve.parse", "serve");
-            spec = sim::parseSpec(spec_text);
+            request.spec = sim::parseSpec(spec_text);
         } catch (const std::exception &e) {
             _parseErrors.inc();
             return {false, 0, e.what()};
@@ -173,96 +121,54 @@ ExperimentService::submit(const std::string &spec_text)
         // Serving is metrics-only: side outputs would be written on the
         // server, and cache placement is the server's choice — strip
         // both so the spec the job runs *is* its canonical identity.
+        sim::ExperimentSpec &spec = request.spec;
         spec.traceCsvPath.clear();
         spec.reportJsonPath.clear();
         spec.traceJsonPath.clear();
         spec.cacheDirPath.clear();
         spec.resultCache = true;
-        id = sim::resultCacheId(spec);
-
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            auto it = _inflight.find(id);
-            if (it != _inflight.end()) {
-                job = it->second;
-                _dedupHits.inc();
-            } else if (_config.maxPending > 0 &&
-                       _inflight.size() >= _config.maxPending) {
-                // Admission control: a fresh spec would add work to an
-                // already-saturated backlog.  Joins (above) are always
-                // admitted — they ride an existing run.
-                _rejectedBusy.inc();
-                return {false, 0,
-                        kBusyPrefix +
-                            std::to_string(_inflight.size()) +
-                            " specs in flight (cap " +
-                            std::to_string(_config.maxPending) +
-                            "); retry after the backlog drains"};
-            } else {
-                job = std::make_shared<Job>();
-                job->id = id;
-                job->submitted = std::chrono::steady_clock::now();
-                job->traceId = traceId;
-                _inflight.emplace(id, job);
-                fresh = true;
-            }
-            ticket = _nextTicket++;
-            _tickets.emplace(ticket, job);
-            job->tickets.push_back(ticket);
-        }
+        request.id = sim::resultCacheId(spec);
+        request.key = request.id;
+        request.store = _store.get();
+        request.lanes = _config.coalesceLanes >= 2 && spec.batch > 0
+                            ? _config.coalesceLanes
+                            : 0;
     }
 
-    if (fresh) {
-        // Hot tier first: a repeat of a recently-served spec answers
-        // from RAM — no disk open, no CRC pass.  The bytes were cached
-        // at a previous completion, so they are the served bytes.
-        std::string hotPayload;
-        if (_hot && _hot->lookup(id, hotPayload)) {
-            complete(job, true, std::move(hotPayload),
-                     /*cacheHot=*/false);
-            return {true, ticket, ""};
-        }
-
-        // Warm path: the store answers without a simulation.  Lookup
-        // runs outside the table lock (it is file IO); a concurrent
-        // identical submit meanwhile joins the in-flight entry and
-        // shares whatever this resolves to.
-        sim::ExperimentResult cached;
-        bool hit = false;
-        {
-            obs::Span lookupSpan("serve.store_lookup", "serve");
-            hit = _store && sim::cacheLookup(*_store, id, cached);
-        }
-        if (hit) {
-            _storeHits.inc();
-            complete(job, true, sim::formatResult(cached));
-        } else if (_config.coalesceLanes >= 2 && spec.batch > 0) {
-            // Cold, and the spec opted into batching: park it for
-            // cross-request lane coalescing instead of running solo.
-            parkJob(spec, job);
-        } else {
-            _pool.submit([this, spec, job] { runJob(spec, job); });
-        }
+    sim::Scheduler::Admission admission =
+        _scheduler.submit(std::move(request));
+    if (!admission.job) {
+        // Admission control: a fresh spec would add work to an
+        // already-saturated backlog.
+        _rejectedBusy.inc();
+        return {false, 0,
+                kBusyPrefix + std::to_string(_scheduler.inflight()) +
+                    " specs in flight (cap " +
+                    std::to_string(_config.maxPending) +
+                    "); retry after the backlog drains"};
     }
-
-    return {true, ticket, ""};
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        _tickets.emplace(admission.tag, std::move(admission.job));
+    }
+    return {true, admission.tag, ""};
 }
 
 ExperimentService::Reply
 ExperimentService::wait(uint64_t ticket)
 {
-    JobPtr job;
+    sim::Scheduler::JobPtr job;
     {
-        std::unique_lock<std::mutex> lock(_mutex);
+        std::lock_guard<std::mutex> lock(_mutex);
         auto it = _tickets.find(ticket);
         if (it == _tickets.end())
             return {false, "",
                     "unknown ticket " + std::to_string(ticket) +
                         " (tickets are consumed by WAIT)"};
-        job = it->second;
+        job = std::move(it->second);
         _tickets.erase(it);
-        _done.wait(lock, [&] { return job->done; });
     }
+    _scheduler.wait(*job);
     if (job->ok)
         return {true, job->payload, ""};
     return {false, "", job->error};
@@ -278,75 +184,48 @@ ExperimentService::run(const std::string &spec_text)
 }
 
 void
-ExperimentService::complete(const JobPtr &job, bool ok, std::string text,
-                            bool cacheHot)
+ExperimentService::complete(sim::Scheduler::Job &job)
 {
-    // Successful payloads enter the hot tier before waiters wake, so
-    // an immediate repeat submission can already hit RAM.  Hot-served
-    // completions skip re-insertion (lookup refreshed their recency).
-    if (ok && cacheHot && _hot)
-        _hot->insert(job->id, text);
+    if (job.ok)
+        job.text();  // the reply payload
 
     const double latency =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      job->submitted)
+                                      job.submitted)
             .count();
     _latency.record(latency);
 
-    // Extract this request's spans from the global tracer and render
-    // them as one finished Chrome-trace document *before* the job is
-    // marked done.  Extraction keeps per-request memory bounded by the
-    // service's own traceDepth ring rather than the process-wide event
-    // buffer; rendering first means a waiter that sees done == true is
-    // guaranteed to find the trace retained (no TRACE-after-WAIT race).
-    const uint64_t traceId = job->traceId;
+    // Extract this request's spans from the global tracer and retain
+    // them as one finished Chrome-trace document before the job is
+    // marked done, so a waiter that sees it done finds the trace (no
+    // TRACE-after-WAIT race).  Extraction keeps per-request memory
+    // bounded by traceDepth rather than the process-wide event buffer.
     std::vector<obs::TraceEvent> events;
-    std::string traceDoc;
-    if (_config.traceDepth > 0 && traceId != 0) {
+    if (_config.traceDepth > 0 && job.traceId != 0) {
         obs::Tracer &tracer = obs::Tracer::instance();
-        events = tracer.takeTrace(traceId);
+        events = tracer.takeTrace(job.traceId);
         std::ostringstream os;
         obs::writeTraceEventsJson(os, events, tracer.trackNames());
-        traceDoc = os.str();
-    }
-
-    std::vector<uint64_t> tickets;
-    {
         std::lock_guard<std::mutex> lock(_mutex);
-        job->done = true;
-        job->ok = ok;
-        if (ok)
-            job->payload = std::move(text);
-        else
-            job->error = std::move(text);
-        tickets = job->tickets;
-        // The dedup window spans the whole run: only now do identical
-        // submissions stop attaching to this job.
-        auto it = _inflight.find(job->id);
-        if (it != _inflight.end() && it->second == job)
-            _inflight.erase(it);
-        if (!traceDoc.empty()) {
-            _traces.push_back(
-                CompletedTrace{traceId, tickets, std::move(traceDoc)});
-            while (_traces.size() > size_t(_config.traceDepth))
-                _traces.pop_front();
-        }
+        _traces.push_back(CompletedTrace{job.tags, os.str()});
+        while (_traces.size() > size_t(_config.traceDepth))
+            _traces.pop_front();
     }
 
     if (_config.slowRequestSeconds > 0.0 &&
         latency > _config.slowRequestSeconds) {
         std::vector<util::LogField> fields;
         fields.push_back({"latency_s", obs::formatDouble(latency)});
-        fields.push_back({"ok", ok ? "true" : "false"});
+        fields.push_back({"ok", job.ok ? "true" : "false"});
         std::string ticketList;
-        for (uint64_t t : tickets) {
+        for (uint64_t t : job.tags) {
             if (!ticketList.empty())
                 ticketList += ",";
             ticketList += std::to_string(t);
         }
         fields.push_back({"tickets", ticketList});
-        if (traceId != 0)
-            fields.push_back({"trace_id", std::to_string(traceId)});
+        if (job.traceId != 0)
+            fields.push_back({"trace_id", std::to_string(job.traceId)});
         // Per-stage timings: total span seconds by name, so the line
         // says *where* the request spent its time.
         std::map<std::string, double> stageSeconds;
@@ -358,245 +237,23 @@ ExperimentService::complete(const JobPtr &job, bool ok, std::string text,
         util::Logger::instance().log(util::LogLevel::Warn,
                                      "slow request", fields);
     }
-
-    _done.notify_all();
 }
 
 void
-ExperimentService::runJob(const sim::ExperimentSpec &spec, const JobPtr &job)
+ExperimentService::mergeStats(obs::StatsRegistry &merged) const
 {
-    if (_config.onJobStart)
-        _config.onJobStart();
-    _runs.inc();
-    bool ok = false;
-    std::string text;
-    {
-        // Span closed before complete() so takeTrace sees it.
-        obs::Span span("serve.run", "serve");
-        try {
-            sim::ExperimentResult result =
-                _store ? sim::runAndStore(spec, *_store, job->id)
-                       : sim::runExperiment(spec);
-            ok = true;
-            text = sim::formatResult(result);
-        } catch (const std::exception &e) {
-            _runFailures.inc();
-            text = e.what();
-        } catch (...) {
-            _runFailures.inc();
-            text = "unknown exception";
-        }
-    }
-    complete(job, ok, std::move(text));
-}
-
-void
-ExperimentService::parkJob(const sim::ExperimentSpec &spec,
-                           const JobPtr &job)
-{
-    job->parkUs = obs::Tracer::instance().nowUs();
-    _coalesced.inc();
-    ParkedBatchPtr ready;
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        ParkedBatchPtr &queue = _parked[sim::batchShapeKey(spec)];
-        if (!queue) {
-            queue = std::make_shared<ParkedBatch>();
-            queue->oldest = std::chrono::steady_clock::now();
-        }
-        queue->specs.push_back(spec);
-        queue->jobs.push_back(job);
-        ++_parkedCount;
-        if (int(queue->jobs.size()) >= _config.coalesceLanes) {
-            // Lane target reached: extract under the lock, dispatch
-            // outside it.  The map slot empties so a late same-shape
-            // arrival starts a new collection round.
-            ready = std::move(queue);
-            _parked.erase(sim::batchShapeKey(spec));
-            _parkedCount -= ready->jobs.size();
-        }
-        _parkedGauge.set(double(_parkedCount));
-    }
-    if (ready)
-        dispatchBatch(ready, /*full=*/true);
-    else
-        _collectorWake.notify_one();
-}
-
-void
-ExperimentService::dispatchBatch(const ParkedBatchPtr &batch, bool full)
-{
-    (full ? _fullDispatches : _partialDispatches).inc();
-    _laneFill.record(double(batch->jobs.size()));
-
-    obs::Tracer &tracer = obs::Tracer::instance();
-    batch->dispatchUs = tracer.nowUs();
-    // Each parked request's own trace gets its park interval — the
-    // time it spent waiting for lane-mates — not just the shared run.
-    if (_config.traceDepth > 0) {
-        for (const JobPtr &job : batch->jobs)
-            if (job->traceId != 0)
-                tracer.recordComplete("serve.park", "serve",
-                                      job->parkUs,
-                                      batch->dispatchUs - job->parkUs,
-                                      obs::threadTrack(), job->traceId);
-    }
-
-    _pool.submit([this, batch] { runBatch(batch); });
-}
-
-void
-ExperimentService::runBatch(const ParkedBatchPtr &batch)
-{
-    if (_config.onJobStart)
-        _config.onJobStart();
-
-    const size_t n = batch->jobs.size();
-    _runs.add(int64_t(n));
-    obs::Tracer &tracer = obs::Tracer::instance();
-
-    // Per-lane pre-start hook: a throw fails just that lane; the
-    // survivors still run as a smaller batch (lane results are
-    // composition-independent, so their answers are unchanged).
-    std::vector<std::string> preError(n);
-    std::vector<sim::ExperimentSpec> live;
-    std::vector<size_t> liveIndex;
-    live.reserve(n);
-    liveIndex.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        if (_config.onLaneStart) {
-            try {
-                _config.onLaneStart(batch->specs[i]);
-            } catch (const std::exception &e) {
-                preError[i] = e.what();
-                continue;
-            } catch (...) {
-                preError[i] = "unknown exception";
-                continue;
-            }
-        }
-        live.push_back(batch->specs[i]);
-        liveIndex.push_back(i);
-    }
-
-    const int64_t runStartUs = tracer.nowUs();
-    std::vector<sim::LaneResult> lanes;
-    std::string batchError;
-    if (!live.empty()) {
-        // Engine-internal spans correlate with the first live lane's
-        // request; every joined request still gets its own serve.lane
-        // span below.
-        obs::TraceContextScope scope(
-            batch->jobs[liveIndex.front()]->traceId);
-        obs::Span span("serve.batch_run", "serve");
-        try {
-            lanes = sim::runBatchedGroup(live, _config.coalesceLanes);
-        } catch (const std::exception &e) {
-            batchError = e.what();
-        } catch (...) {
-            batchError = "unknown exception";
-        }
-    }
-    const int64_t runEndUs = tracer.nowUs();
-
-    size_t liveSlot = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const JobPtr &job = batch->jobs[i];
-        // The request's trace shows the dispatch gap and its own lane
-        // span; recorded before complete() extracts the trace.
-        if (_config.traceDepth > 0 && job->traceId != 0) {
-            tracer.recordComplete("serve.batch_dispatch", "serve",
-                                  batch->dispatchUs,
-                                  runStartUs - batch->dispatchUs,
-                                  obs::threadTrack(), job->traceId);
-            tracer.recordComplete("serve.lane", "serve", runStartUs,
-                                  runEndUs - runStartUs,
-                                  obs::threadTrack(), job->traceId);
-        }
-        if (!preError[i].empty()) {
-            _runFailures.inc();
-            complete(job, false, std::move(preError[i]));
-            continue;
-        }
-        const size_t slot = liveSlot++;
-        if (!batchError.empty() || slot >= lanes.size()) {
-            // Whole-batch failure (shape rejected, engine threw):
-            // every lane resolves with the same error, each to its own
-            // waiters only.
-            _runFailures.inc();
-            complete(job, false,
-                     batchError.empty() ? "batched run produced no lane"
-                                        : batchError);
-            continue;
-        }
-        sim::LaneResult &lane = lanes[slot];
-        if (lane.ok) {
-            std::string text = sim::formatResult(lane.result);
-            if (_store)
-                _store->store(job->id, text);
-            complete(job, true, std::move(text));
-        } else {
-            _runFailures.inc();
-            complete(job, false, std::move(lane.error));
-        }
-    }
-}
-
-void
-ExperimentService::collectorLoop()
-{
-    // The window as a steady_clock duration (rounded up: the collector
-    // may fire late, never early enough to halve a real window).
-    const auto window =
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                std::max(0.0, _config.coalesceWaitMs)));
-
-    std::unique_lock<std::mutex> lock(_mutex);
-    while (!_stopCollector) {
-        if (_parked.empty()) {
-            _collectorWake.wait(lock, [this] {
-                return _stopCollector || !_parked.empty();
-            });
-            continue;
-        }
-        auto deadline = std::chrono::steady_clock::time_point::max();
-        for (const auto &entry : _parked)
-            deadline = std::min(deadline, entry.second->oldest + window);
-        const auto now = std::chrono::steady_clock::now();
-        if (now < deadline) {
-            _collectorWake.wait_until(lock, deadline);
-            continue;
-        }
-        // Window expired for at least one queue: extract every expired
-        // queue under the lock, dispatch partial batches outside it.
-        std::vector<ParkedBatchPtr> expired;
-        for (auto it = _parked.begin(); it != _parked.end();) {
-            if (it->second->oldest + window <= now) {
-                expired.push_back(it->second);
-                _parkedCount -= it->second->jobs.size();
-                it = _parked.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        _parkedGauge.set(double(_parkedCount));
-        lock.unlock();
-        for (const ParkedBatchPtr &batch : expired)
-            dispatchBatch(batch, /*full=*/false);
-        lock.lock();
-    }
+    merged.merge(_stats);
+    if (_store)
+        _store->addStats(merged);
+    if (_hot)
+        _hot->addStats(merged);
 }
 
 std::vector<obs::StatsRegistry::Entry>
 ExperimentService::mergedSnapshot() const
 {
     obs::StatsRegistry merged;
-    merged.merge(_stats);
-    if (_store)
-        _store->addStats(merged);
-    if (_hot)
-        _hot->addStats(merged);
+    mergeStats(merged);
     return merged.snapshot();
 }
 
@@ -604,11 +261,7 @@ std::string
 ExperimentService::statsText() const
 {
     obs::StatsRegistry merged;
-    merged.merge(_stats);
-    if (_store)
-        _store->addStats(merged);
-    if (_hot)
-        _hot->addStats(merged);
+    mergeStats(merged);
     std::ostringstream os;
     merged.dumpText(os);
     return os.str();
@@ -625,19 +278,17 @@ ExperimentService::metricsText(bool skipWallClock) const
 std::string
 ExperimentService::healthText() const
 {
-    size_t inflight = 0;
     size_t outstanding = 0;
     size_t traces = 0;
-    size_t parked = 0;
     {
         std::lock_guard<std::mutex> lock(_mutex);
-        inflight = _inflight.size();
         outstanding = _tickets.size();
         traces = _traces.size();
-        parked = _parkedCount;
     }
-    const int workers = _pool.threads();
-    const size_t poolPending = _pool.pending();
+    const size_t inflight = _scheduler.inflight();
+    const size_t parked = _scheduler.parked();
+    const int workers = _scheduler.threads();
+    const size_t poolPending = _scheduler.poolPending();
     const double uptime = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - _startTime)
                               .count();

@@ -3,12 +3,14 @@
 
 /**
  * @file
- * The experiment-serving core: a long-lived, socket-free service that
- * accepts spec text, answers warm requests straight from the
- * persistent ResultStore, and schedules misses onto a persistent
- * sim::JobPool with *dedup-in-flight* — concurrent submissions of the
- * same canonical spec (sim::resultCacheId identity) share one
- * simulation run.
+ * The experiment-serving core: a long-lived, socket-free adapter that
+ * turns spec text into sim::Scheduler requests (sim/scheduler.hpp).
+ * The scheduler owns the request lifecycle the runner shares — dedup
+ * in flight, hot tier, store lookup, per-shape lane queues, the pool,
+ * per-lane store writes.  What is left here is what belongs to the
+ * wire: parsing and normalization, tickets, the busy answer, request
+ * traces, the slow-request log and the STATS/METRICS/HEALTH/SERIES/
+ * TRACE text.
  *
  * Determinism contract: a served RESULT payload is the
  * spec_io::formatResult text of the experiment, so it is byte-identical
@@ -20,69 +22,39 @@
  *
  *   submit(spec text)
  *     -> parse (strict spec_io; errors return to the caller, the
- *        daemon never dies on bad input)
+ *        daemon never dies on bad input)              (serve.parse_errors)
  *     -> normalize away output paths and cache keys (serving is
- *        metrics-only), derive the canonical id
- *     -> in-flight table hit?   share that job   (serve.dedup_hits)
- *     -> backlog at cap?        reject `busy: ...` (serve.rejected_busy)
- *     -> hot-cache hit?         complete at once (serve.hot_hits)
- *     -> store hit?             complete at once (serve.store_hits)
- *     -> batch>0 + coalescing?  park for a lane  (serve.coalesced)
- *     -> else                   schedule a run   (serve.runs)
+ *        metrics-only); the dedup key and the store id are both the
+ *        canonical sim::resultCacheId
+ *     -> scheduler admission: join (serve.dedup_hits), busy at
+ *        maxPending (serve.rejected_busy, `ERR busy: ...`), hot hit
+ *        (serve.hot_hits), store hit (serve.store_hits), a parked lane
+ *        when coalescing (serve.coalesced), else a run (serve.runs)
  *   wait(ticket) blocks until the shared job completes and consumes
  *   the ticket (each submission gets its own ticket; the job is
  *   shared, the ticket is not).
  *
- * Coalescing (ServiceConfig::coalesceLanes >= 2): cold submissions
- * whose spec opts in with batch > 0 are *parked* in a per-shape
- * collection queue (sim::batchShapeKey — every field but location,
- * seed, and output paths) instead of dispatching immediately.  A
- * queue dispatches to sim::runBatchedGroup as one SoA batch either
- * when it fills to coalesceLanes (full dispatch) or when its oldest
- * entry has waited coalesceWaitMs (partial dispatch by the collector
- * thread) — so lane fill rides offered load and latency never stalls
- * past the window.  Per-lane failures resolve only their own request;
- * dedup joiners attach to the parked entry like any in-flight job.
- * Lane results land under each spec's own result-cache id (batched
- * identity — batch=N is part of the id) and honor the DESIGN.md §10
- * tolerance contract; lane results are composition-independent, so a
- * coalesced answer is byte-identical to the same lane set submitted
- * directly as one batch (locked by tests).
+ * Coalescing (ServiceConfig::coalesceLanes >= 2): a cold batch > 0
+ * spec is submitted with coalesceLanes as its lane target, so it parks
+ * in its shape queue and dispatches as one SoA batch when the queue
+ * fills or when its oldest entry has waited coalesceWaitMs.  Lane
+ * results land under each spec's own result id and honor the DESIGN.md
+ * §10 tolerance contract; a coalesced answer is byte-identical to the
+ * same lane set submitted directly as one batch (locked by tests).
  *
- * Hot cache (ServiceConfig::hotCacheBytes > 0): a sharded in-memory
- * byte-capped LRU (store::HotResultCache) in front of the on-disk
- * store.  Every successful completion caches its payload bytes; a
- * repeat submission is answered from RAM without touching disk or
- * re-verifying a CRC (serve.hot_hits / serve.hot_evictions).
- *
- * Admission (ServiceConfig::maxPending > 0): a fresh submission that
- * would push the in-flight table past the cap is rejected with a
- * structured `busy: ...` error (the wire layer renders `ERR busy:`)
- * instead of queueing unboundedly; HEALTH reports DEGRADED while at
- * the cap.  Dedup joins are always admitted — they add no work.
- *
- * Observability: the service owns an obs::StatsRegistry (always on —
- * no global enable needed) holding serve.requests, serve.parse_errors,
- * serve.store_hits, serve.dedup_hits, serve.runs, serve.run_failures
- * and a bucketed serve.latency_seconds histogram; statsText() merges in
- * the store's counters for the STATS endpoint, metricsText() renders
+ * Observability: the service owns an obs::StatsRegistry (always on)
+ * that also receives the scheduler's serve.* stats; statsText() merges
+ * in the store and hot-tier counters for STATS, metricsText() renders
  * the same merged registry as Prometheus text for METRICS, and a
- * TimeSeriesSampler snapshots it on a fixed interval into bounded
- * per-stat rings for SERIES.
- *
- * Tracing: with ServiceConfig::traceDepth > 0, every submission gets a
- * process-unique trace id, carried by a thread-local TraceContextScope
- * from the connection thread through the JobPool onto the worker and
- * down into the engine — so all spans of one request correlate.  As a
- * request completes, its events are extracted from the global Tracer
- * and retained (as finished Chrome-trace JSON) in a ring of the last
- * traceDepth requests, retrievable by any of the request's tickets via
- * traceJson().  Requests slower than slowRequestSeconds additionally
- * emit one structured log line with per-stage span timings.
+ * TimeSeriesSampler snapshots it into bounded per-stat rings for
+ * SERIES.  With traceDepth > 0 every submission gets a trace id that
+ * follows it through the pool into the engine; at completion its
+ * events are extracted into a ring of the last traceDepth request
+ * traces (TRACE).  Requests slower than slowRequestSeconds log one
+ * structured line with per-stage span timings.
  */
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <chrono>
 #include <deque>
@@ -91,12 +63,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/stats.hpp"
 #include "obs/timeseries.hpp"
-#include "sim/runner.hpp"
+#include "sim/scheduler.hpp"
 #include "store/hot_cache.hpp"
 #include "store/result_store.hpp"
 
@@ -193,7 +164,7 @@ class ExperimentService
   public:
     explicit ExperimentService(ServiceConfig config = {});
 
-    /** Drains in-flight jobs (JobPool destructor) before returning. */
+    /** Dispatches parked lanes and drains in-flight jobs first. */
     ~ExperimentService();
 
     ExperimentService(const ExperimentService &) = delete;
@@ -283,50 +254,18 @@ class ExperimentService
     store::ResultStore *store() { return _store.get(); }
 
     /** Worker-pool width (for banners and load drivers). */
-    int threads() const { return _pool.threads(); }
+    int threads() const { return _scheduler.threads(); }
 
   private:
-    /** One in-flight (or just-completed) canonical spec. */
-    struct Job
-    {
-        std::string id;  ///< canonical spec text (resultCacheId).
-        std::chrono::steady_clock::time_point submitted;
-        bool done = false;
-        bool ok = false;
-        std::string payload;
-        std::string error;
-        uint64_t traceId = 0;  ///< first submitter's trace context.
-        int64_t parkUs = 0;    ///< tracer timestamp when parked (0 =
-                               ///< never coalesced).
-        std::vector<uint64_t> tickets;  ///< every attached ticket.
-    };
-    using JobPtr = std::shared_ptr<Job>;
-
-    /** One per-shape collection queue of parked cold submissions. */
-    struct ParkedBatch
-    {
-        std::vector<sim::ExperimentSpec> specs;  ///< lane order.
-        std::vector<JobPtr> jobs;                ///< parallel to specs.
-        std::chrono::steady_clock::time_point oldest;  ///< first park.
-        int64_t dispatchUs = 0;  ///< tracer timestamp at dispatch.
-    };
-    using ParkedBatchPtr = std::shared_ptr<ParkedBatch>;
-
     /** One retained completed-request trace. */
     struct CompletedTrace
     {
-        uint64_t traceId = 0;
         std::vector<uint64_t> tickets;
         std::string json;  ///< finished Chrome-trace document.
     };
 
-    void complete(const JobPtr &job, bool ok, std::string text,
-                  bool cacheHot = true);
-    void runJob(const sim::ExperimentSpec &spec, const JobPtr &job);
-    void parkJob(const sim::ExperimentSpec &spec, const JobPtr &job);
-    void dispatchBatch(const ParkedBatchPtr &batch, bool full);
-    void runBatch(const ParkedBatchPtr &batch);
-    void collectorLoop();
+    void complete(sim::Scheduler::Job &job);
+    void mergeStats(obs::StatsRegistry &merged) const;
     std::vector<obs::StatsRegistry::Entry> mergedSnapshot() const;
 
     ServiceConfig _config;
@@ -336,16 +275,7 @@ class ExperimentService
     obs::StatsRegistry _stats;
     obs::Counter &_requests;
     obs::Counter &_parseErrors;
-    obs::Counter &_storeHits;
-    obs::Counter &_dedupHits;
-    obs::Counter &_runs;
-    obs::Counter &_runFailures;
-    obs::Counter &_coalesced;
-    obs::Counter &_fullDispatches;
-    obs::Counter &_partialDispatches;
     obs::Counter &_rejectedBusy;
-    obs::Gauge &_parkedGauge;
-    obs::Histogram &_laneFill;
     obs::Histogram &_latency;
 
     std::chrono::steady_clock::time_point _startTime;
@@ -354,23 +284,12 @@ class ExperimentService
     std::unique_ptr<obs::TimeSeriesSampler> _sampler;
 
     mutable std::mutex _mutex;
-    std::condition_variable _done;
-    std::map<std::string, JobPtr> _inflight;  ///< canonical id -> job
-    std::map<uint64_t, JobPtr> _tickets;
-    uint64_t _nextTicket = 1;
+    std::map<uint64_t, sim::Scheduler::JobPtr> _tickets;
     std::deque<CompletedTrace> _traces;  ///< last traceDepth requests.
 
-    // Coalescing scheduler state (guarded by _mutex).  The collector
-    // thread owns partial (window-expiry) dispatch; full queues
-    // dispatch inline from the parking submit.
-    std::map<std::string, ParkedBatchPtr> _parked;  ///< shape -> queue
-    size_t _parkedCount = 0;  ///< total parked jobs across queues.
-    bool _stopCollector = false;
-    std::condition_variable _collectorWake;
-    std::thread _collector;
-
-    /** Last member: destroyed (and drained) before the state above. */
-    sim::JobPool _pool;
+    /** Last member: destroyed first, so every outstanding job
+        completes while the state above is alive. */
+    sim::Scheduler _scheduler;
 };
 
 } // namespace serve

@@ -58,21 +58,6 @@ cacheLookup(store::ResultStore &st, const std::string &id,
     return true;
 }
 
-ExperimentResult
-runAndStore(const ExperimentSpec &spec, store::ResultStore &st,
-            const std::string &id)
-{
-    // Wire the store's counters into any RunReport this run writes
-    // (they land after the report's global merge, so the sweep-level
-    // publication in the runner stays the single global source).
-    ExperimentResult result = runUncached(
-        spec, [&st](obs::StatsRegistry &reg) { st.addStats(reg); });
-    // Store only after the run succeeded: a throwing job reports its
-    // failure through the runner and never poisons the store.
-    st.store(id, formatResult(result));
-    return result;
-}
-
 void
 writeCacheHitReport(const ExperimentSpec &spec, const ExperimentResult &result,
                     store::ResultStore &st, double wall_seconds)
@@ -116,7 +101,12 @@ runExperimentCached(const ExperimentSpec &spec, store::ResultStore &st,
 
     if (from_cache)
         *from_cache = false;
-    return runAndStore(spec, st, id);
+    // The store's counters go into any RunReport this run writes; the
+    // result is stored only after the run succeeded.
+    result = runUncached(
+        spec, [&st](obs::StatsRegistry &reg) { st.addStats(reg); });
+    st.store(id, formatResult(result));
+    return result;
 }
 
 } // namespace sim

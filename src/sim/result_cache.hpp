@@ -5,8 +5,9 @@
  * @file
  * Experiment-level view of the persistent result store (src/store/):
  * key derivation from a spec, payload (de)serialization via
- * spec_io::formatResult, and the cached run entry points the runner
- * and experiment_cli share.
+ * spec_io::formatResult, the cache-hit RunReport the scheduler
+ * (sim/scheduler.hpp) writes, and the single cached run
+ * experiment_cli and runExperiment use.
  *
  * Cache identity.  A spec's identity is the canonical formatSpec text
  * of a *normalized* copy: the output paths (trace_csv, report_json,
@@ -62,15 +63,6 @@ store::ResultStore openResultStore(const std::string &dir);
  */
 bool cacheLookup(store::ResultStore &st, const std::string &id,
                  ExperimentResult &out);
-
-/**
- * Run @p spec (uncached) and store the result under @p id.  The store's
- * stats are wired into any RunReport the run writes.  The result is
- * stored only after the run succeeds, so a throwing job never poisons
- * the store.
- */
-ExperimentResult runAndStore(const ExperimentSpec &spec,
-                             store::ResultStore &st, const std::string &id);
 
 /**
  * Write the RunReport for a cache-served result to spec.reportJsonPath:

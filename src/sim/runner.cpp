@@ -4,16 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <exception>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "obs/stats.hpp"
-#include "obs/trace.hpp"
-#include "sim/batch_engine.hpp"
 #include "sim/result_cache.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/spec_io.hpp"
 #include "store/result_store.hpp"
 #include "util/logging.hpp"
@@ -68,6 +66,37 @@ ExperimentRunner::deriveSeed(uint64_t root_seed, size_t index,
     return stream.next();
 }
 
+namespace {
+
+/** A thread-safe "one more job done" callback that logs a progress line
+    (RunnerConfig::progress) every progressEvery jobs and at the end. */
+std::function<void()>
+progressTicker(const RunnerConfig &config, size_t total)
+{
+    if (!config.progress)
+        return [] {};
+    auto done = std::make_shared<std::atomic<size_t>>(0);
+    const auto start = std::chrono::steady_clock::now();
+    return [&config, total, done, start] {
+        const size_t finished = done->fetch_add(1) + 1;
+        if (finished % std::max<size_t>(1, config.progressEvery) != 0 &&
+            finished != total)
+            return;
+        const double elapsed = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+        const double rate = elapsed > 0.0 ? double(finished) / elapsed : 0.0;
+        const double eta = rate > 0.0 ? double(total - finished) / rate : 0.0;
+        char line[192];
+        std::snprintf(line, sizeof(line),
+                      "%zu/%zu %s done (%.1f jobs/s, ETA %.0f s)", finished,
+                      total, config.progressLabel.c_str(), rate, eta);
+        util::inform(line);
+    };
+}
+
+} // anonymous namespace
+
 std::vector<TaskFailure>
 ExperimentRunner::forEach(size_t count,
                           const std::function<void(size_t)> &fn) const
@@ -76,112 +105,23 @@ ExperimentRunner::forEach(size_t count,
     if (count == 0)
         return failures;
 
-    const size_t workers = std::min(size_t(_threads), count);
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::vector<std::vector<TaskFailure>> per_worker(workers);
-
-    const auto sweep_start = std::chrono::steady_clock::now();
-
-    auto work = [&](size_t slot) {
-        // One trace track per worker, so the exported trace shows the
-        // sweep's real parallel structure.
-        obs::setThreadTrack(int(slot));
-        obs::Tracer &tracer = obs::Tracer::instance();
-        if (tracer.enabled())
-            tracer.nameTrack(int(slot), "worker " + std::to_string(slot));
-
-        for (;;) {
-            size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
-
-            const bool timing = obs::enabled() || tracer.enabled();
-            std::chrono::steady_clock::time_point job_start;
-            int64_t ts_us = 0;
-            if (timing) {
-                job_start = std::chrono::steady_clock::now();
-                ts_us = tracer.nowUs();
-            }
-
-            bool failed = false;
-            try {
-                fn(i);
-            } catch (const std::exception &e) {
-                failed = true;
-                per_worker[slot].push_back({i, e.what()});
-            } catch (...) {
-                failed = true;
-                per_worker[slot].push_back({i, "unknown exception"});
-            }
-
-            if (timing) {
-                const auto job_end = std::chrono::steady_clock::now();
-                if (tracer.enabled())
-                    tracer.recordComplete(
-                        _config.progressLabel + " #" + std::to_string(i),
-                        "runner", ts_us, tracer.nowUs() - ts_us, int(slot),
-                        obs::currentTraceId());
-                if (obs::enabled()) {
-                    obs::StatsRegistry &reg = obs::registry();
-                    reg.counter("runner.jobs", "jobs completed").inc();
-                    if (failed)
-                        reg.counter("runner.job_failures",
-                                    "jobs that threw")
-                            .inc();
-                    reg.histogram("runner.job_seconds",
-                                  "per-job wall time [s]", obs::kWallClock)
-                        .record(std::chrono::duration<double>(job_end -
-                                                              job_start)
-                                    .count());
-                    reg.histogram(
-                           "runner.queue_wait_seconds",
-                           "delay from sweep start to job start [s]",
-                           obs::kWallClock)
-                        .record(std::chrono::duration<double>(job_start -
-                                                              sweep_start)
-                                    .count());
+    const std::function<void()> progress = progressTicker(_config, count);
+    std::mutex failures_mutex;
+    {
+        JobPool pool(int(std::min(size_t(_threads), count)));
+        for (size_t i = 0; i < count; ++i)
+            pool.submit([&, i] {
+                std::string error;
+                const bool failed = threw(error, [&] { fn(i); });
+                progress();
+                if (failed) {
+                    std::lock_guard<std::mutex> lock(failures_mutex);
+                    failures.push_back({i, std::move(error)});
                 }
-            }
+                return !failed;
+            });
+    }  // the pool drains here
 
-            size_t finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (_config.progress &&
-                (finished % std::max<size_t>(1, _config.progressEvery) == 0 ||
-                 finished == count)) {
-                const double elapsed =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - sweep_start)
-                        .count();
-                const double rate =
-                    elapsed > 0.0 ? double(finished) / elapsed : 0.0;
-                const double eta =
-                    rate > 0.0 ? double(count - finished) / rate : 0.0;
-                char line[192];
-                std::snprintf(line, sizeof(line),
-                              "%zu/%zu %s done (%.1f jobs/s, ETA %.0f s)",
-                              finished, count, _config.progressLabel.c_str(),
-                              rate, eta);
-                util::inform(line);
-            }
-        }
-    };
-
-    if (workers <= 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (size_t t = 0; t < workers; ++t)
-            pool.emplace_back(work, t);
-        for (auto &thread : pool)
-            thread.join();
-    }
-
-    for (auto &list : per_worker)
-        failures.insert(failures.end(),
-                        std::make_move_iterator(list.begin()),
-                        std::make_move_iterator(list.end()));
     std::sort(failures.begin(), failures.end(),
               [](const TaskFailure &a, const TaskFailure &b) {
                   return a.index < b.index;
@@ -195,271 +135,60 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs) const
     SweepOutcome outcome;
     outcome.results.resize(specs.size());
     outcome.fromCache.assign(specs.size(), 0);
+    if (specs.empty())
+        return outcome;
 
-    // One open store per distinct cache directory; a std::map keeps the
-    // sweep-end stats publication deterministic.  The stores outlive
-    // both forEach phases, so workers share them concurrently (they are
-    // internally thread-safe: atomic counters, atomic-rename writes).
-    std::map<std::string, std::unique_ptr<store::ResultStore>> stores;
-    std::vector<store::ResultStore *> spec_store(specs.size(), nullptr);
-    std::vector<std::string> ids(specs.size());
-    std::vector<size_t> cacheable;
+    // One open store per distinct cache directory, shared by the
+    // sweep's jobs (stores are thread-safe); a std::map keeps the
+    // sweep-end stats publication deterministic.
+    std::map<std::string, store::ResultStore> stores;
+    const std::function<void()> progress =
+        progressTicker(_config, specs.size());
+    std::vector<Scheduler::JobPtr> jobs;
+    jobs.reserve(specs.size());
+    {
+        Scheduler::Config config;
+        config.threads = int(std::min(size_t(_threads), specs.size()));
+        config.onComplete = [&progress](Scheduler::Job &) { progress(); };
+        Scheduler scheduler(std::move(config));
+        for (size_t i = 0; i < specs.size(); ++i) {
+            Scheduler::Request request;
+            request.spec = specs[i];
+            request.key = std::to_string(i);
+            request.lanes = std::max(0, specs[i].batch);
+            if (resultCacheUsable(specs[i])) {
+                const std::string &dir = specs[i].cacheDirPath;
+                request.store = &stores
+                                     .try_emplace(dir, dir, kResultCacheSalt,
+                                                  kResultFormatVersion)
+                                     .first->second;
+                request.id = resultCacheId(specs[i]);
+            }
+            jobs.push_back(scheduler.submit(std::move(request)).job);
+        }
+        scheduler.flush();
+        for (const Scheduler::JobPtr &job : jobs)
+            scheduler.wait(*job);
+    }
+
     for (size_t i = 0; i < specs.size(); ++i) {
-        if (!resultCacheUsable(specs[i]))
+        Scheduler::Job &job = *jobs[i];
+        if (!job.ok) {
+            outcome.failures.push_back({i, specs[i], std::move(job.error)});
             continue;
-        auto [it, inserted] = stores.try_emplace(specs[i].cacheDirPath);
-        if (inserted)
-            it->second = std::make_unique<store::ResultStore>(
-                specs[i].cacheDirPath, kResultCacheSalt,
-                kResultFormatVersion);
-        spec_store[i] = it->second.get();
-        ids[i] = resultCacheId(specs[i]);
-        cacheable.push_back(i);
-    }
-
-    // Phase 1: look every cacheable spec up before dispatch, on the
-    // pool (lookups are IO-bound and independent).  A hit fills the
-    // spec's result slot — and still writes its RunReport — so phase 2
-    // only runs the misses.
-    std::vector<TaskFailure> lookup_failures;
-    if (!cacheable.empty()) {
-        const auto lookup_start = std::chrono::steady_clock::now();
-        lookup_failures = forEach(cacheable.size(), [&](size_t k) {
-            const size_t i = cacheable[k];
-            ExperimentResult result;
-            if (!cacheLookup(*spec_store[i], ids[i], result))
-                return;
-            outcome.results[i] = result;
-            outcome.fromCache[i] = 1;
-            if (!specs[i].reportJsonPath.empty()) {
-                const double wall =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - lookup_start)
-                        .count();
-                writeCacheHitReport(specs[i], result, *spec_store[i], wall);
-            }
-        });
-    }
-    for (auto &failure : lookup_failures) {
-        const size_t i = cacheable[failure.index];
-        // A served result whose report could not be written is still a
-        // failed spec; clear the provenance tag so callers do not treat
-        // it as a good hit.
-        outcome.fromCache[i] = 0;
-        outcome.failures.push_back({i, specs[i], std::move(failure.message)});
-    }
-
-    // Phase 2: run the pending specs (cache misses plus everything not
-    // cacheable).  First-touch of the lazy shared state must happen
-    // before the pool starts: C++ magic statics serialize
-    // initialization, which would park every worker behind one thread's
-    // learning campaign.  Only the pending specs are prewarmed — a
-    // fully warm sweep loads nothing.
-    std::vector<size_t> pending;
-    pending.reserve(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i)
-        if (!outcome.fromCache[i] && outcome.ok(i))
-            pending.push_back(i);
-
-    if (!pending.empty()) {
-        std::vector<ExperimentSpec> pending_specs;
-        pending_specs.reserve(pending.size());
-        for (size_t i : pending)
-            pending_specs.push_back(specs[i]);
-        prewarmSharedState(pending_specs);
-
-        // Batch-enabled pending specs (batch > 0) are grouped by shape
-        // and chunked into lane batches of up to spec.batch; everything
-        // else stays a one-spec job.  The job list is derived only from
-        // spec order and shape keys (std::map iteration), never from
-        // scheduling, so outcomes stay deterministic.
-        std::vector<size_t> scalar_jobs;
-        std::map<std::string, std::vector<size_t>> by_shape;
-        for (size_t i : pending) {
-            if (specs[i].batch > 0)
-                by_shape[batchShapeKey(specs[i])].push_back(i);
-            else
-                scalar_jobs.push_back(i);
         }
-        std::vector<std::vector<size_t>> chunks;
-        for (auto &[shape, members] : by_shape) {
-            const size_t width = size_t(specs[members.front()].batch);
-            for (size_t at = 0; at < members.size(); at += width)
-                chunks.emplace_back(
-                    members.begin() + at,
-                    members.begin() +
-                        std::min(at + width, members.size()));
-        }
-
-        // Per-chunk lane failures: each vector is written only by the
-        // one job that owns the chunk, merged (and index-sorted) after
-        // the pool drains.  A lane that fails never blocks its batch —
-        // the engine completes the remaining lanes — and every failure
-        // is reported at the lane's original spec index.
-        std::vector<std::vector<ExperimentFailure>> chunk_failures(
-            chunks.size());
-
-        const size_t total = scalar_jobs.size() + chunks.size();
-        std::vector<TaskFailure> run_failures =
-            forEach(total, [&](size_t j) {
-                if (j < scalar_jobs.size()) {
-                    const size_t i = scalar_jobs[j];
-                    if (spec_store[i])
-                        outcome.results[i] =
-                            runAndStore(specs[i], *spec_store[i], ids[i]);
-                    else
-                        outcome.results[i] = runExperiment(specs[i]);
-                    return;
-                }
-                const size_t c = j - scalar_jobs.size();
-                const std::vector<size_t> &chunk = chunks[c];
-                std::vector<ExperimentSpec> lane_specs;
-                lane_specs.reserve(chunk.size());
-                for (size_t i : chunk)
-                    lane_specs.push_back(specs[i]);
-                std::vector<LaneResult> lanes = runBatchedGroup(
-                    lane_specs, specs[chunk.front()].batch);
-                for (size_t l = 0; l < chunk.size(); ++l) {
-                    const size_t i = chunk[l];
-                    if (!lanes[l].ok) {
-                        chunk_failures[c].push_back(
-                            {i, specs[i], std::move(lanes[l].error)});
-                        continue;
-                    }
-                    try {
-                        if (spec_store[i])
-                            spec_store[i]->store(
-                                ids[i], formatResult(lanes[l].result));
-                        outcome.results[i] = std::move(lanes[l].result);
-                    } catch (const std::exception &e) {
-                        chunk_failures[c].push_back({i, specs[i], e.what()});
-                    }
-                }
-            });
-        for (auto &failure : run_failures) {
-            if (failure.index < scalar_jobs.size()) {
-                const size_t i = scalar_jobs[failure.index];
-                outcome.failures.push_back(
-                    {i, specs[i], std::move(failure.message)});
-                continue;
-            }
-            // A whole-batch failure (unrunnable shared shape) fails
-            // every lane of the chunk at its own index.
-            for (size_t i : chunks[failure.index - scalar_jobs.size()])
-                outcome.failures.push_back({i, specs[i], failure.message});
-        }
-        for (auto &list : chunk_failures)
-            outcome.failures.insert(outcome.failures.end(),
-                                    std::make_move_iterator(list.begin()),
-                                    std::make_move_iterator(list.end()));
+        outcome.results[i] = std::move(job.result);
+        outcome.fromCache[i] = job.fromCache;
     }
-
-    std::sort(outcome.failures.begin(), outcome.failures.end(),
-              [](const ExperimentFailure &a, const ExperimentFailure &b) {
-                  return a.index < b.index;
-              });
 
     // Publish each store's counters globally exactly once, at sweep
     // end (per-run reports got them via report-stats sources, which
     // never touch the global registry).
     if (obs::enabled())
         for (auto &[dir, st] : stores)
-            st->addStats(obs::registry());
+            st.addStats(obs::registry());
 
     return outcome;
-}
-
-JobPool::JobPool(int threads)
-{
-    const int n = ExperimentRunner::resolveThreads(threads);
-    _workers.reserve(size_t(n));
-    for (int t = 0; t < n; ++t)
-        _workers.emplace_back(&JobPool::workerLoop, this, t);
-}
-
-JobPool::~JobPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _stopping = true;
-    }
-    _wake.notify_all();
-    for (auto &worker : _workers)
-        worker.join();
-}
-
-void
-JobPool::submit(std::function<void()> job)
-{
-    // Carry the submitter's trace context onto the worker: spans the
-    // job records (serve.run, the engine's) join the request's trace.
-    const uint64_t traceId = obs::currentTraceId();
-    if (traceId != 0) {
-        job = [traceId, inner = std::move(job)] {
-            obs::TraceContextScope scope(traceId);
-            inner();
-        };
-    }
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _queue.push_back(std::move(job));
-    }
-    _wake.notify_one();
-}
-
-void
-JobPool::drain()
-{
-    std::unique_lock<std::mutex> lock(_mutex);
-    _idle.wait(lock, [this] { return _queue.empty() && _running == 0; });
-}
-
-size_t
-JobPool::pending() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _queue.size() + _running;
-}
-
-void
-JobPool::workerLoop(int slot)
-{
-    // A named track per pool worker, so exported request traces show
-    // which worker ran the job (the counterpart of forEach's
-    // "worker N" tracks for sweeps).
-    obs::Tracer::instance().nameTrack(obs::threadTrack(),
-                                      "pool worker " + std::to_string(slot));
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(_mutex);
-            _wake.wait(lock,
-                       [this] { return _stopping || !_queue.empty(); });
-            if (_queue.empty()) {
-                if (_stopping)
-                    return;
-                continue;
-            }
-            job = std::move(_queue.front());
-            _queue.pop_front();
-            ++_running;
-        }
-
-        try {
-            job();
-        } catch (const std::exception &e) {
-            util::warn(std::string("JobPool: job threw: ") + e.what());
-        } catch (...) {
-            util::warn("JobPool: job threw an unknown exception");
-        }
-
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            --_running;
-            if (_queue.empty() && _running == 0)
-                _idle.notify_all();
-        }
-    }
 }
 
 } // namespace sim

@@ -3,10 +3,11 @@
 
 /**
  * @file
- * Parallel experiment runner for sweep-shaped workloads (the Figures
- * 12/13 world sweep, the figure grids, the ablations): a fixed-size
- * worker pool pulls ExperimentSpecs off a shared queue and runs them
- * concurrently.
+ * Sweep driver for the figure grids, the world sweep and the ablations:
+ * run() submits every spec to one sim::Scheduler (sim/scheduler.hpp),
+ * flushes its lane queues and waits for every spec.  The scheduler does
+ * the store lookup, the batch grouping and the pool dispatch the serve
+ * layer uses too.
  *
  * Design rules that keep parallel runs bit-identical to serial ones:
  *
@@ -14,40 +15,24 @@
  *    deriveSeed() to give each spec an independent stream keyed on the
  *    spec's identity, never on scheduling order);
  *  - results come back indexed by spec order, so callers reduce them
- *    serially (via util::RunningStats::merge / add) in a deterministic
- *    order no matter which worker ran which spec;
- *  - the lazy shared state (learned bundles, the Facebook utilization
- *    profile) is pre-warmed before the pool starts, so first-touch
- *    learning cannot serialize the workers.
+ *    serially in a deterministic order no matter which worker ran which
+ *    spec;
+ *  - each spec is its own scheduler request (the dedup key is its
+ *    index), so nothing is shared across a sweep;
+ *  - specs with batch > 0 are grouped by batchShapeKey in spec order and
+ *    chunked by spec.batch, never by scheduling.
  *
- * A worker exception is captured with the failing spec and reported in
- * the outcome instead of terminating the process; the remaining jobs
- * keep running.
- *
- * Sweeps are incremental when specs carry a cache_dir: the runner looks
- * every cache-enabled spec up in the persistent result store *before*
- * dispatch (concurrently, on the pool), only runs the misses, and
- * stores each fresh result as its job completes.  Jobs are tagged
- * hit/miss in the outcome (SweepOutcome::fromCache), results are
- * byte-identical warm vs. cold (spec_io's exact result round trip), and
- * a failing job is reported without writing anything to the store.
- *
- * Specs with batch > 0 opt into the lane-batched engine: pending specs
- * are grouped by batchShapeKey (deterministically, never by
- * scheduling), chunked into lane batches of up to spec.batch, and each
- * chunk runs as one pool job through runBatchedGroup.  Results and
- * failures still land at each spec's original index — a failing lane
- * neither reorders nor drops the others, which run to completion.
+ * A failing spec is reported in the outcome with its index instead of
+ * terminating the process; a failing lane spares the rest of its batch,
+ * and a batch that fails as a whole fails each of its specs.  Specs with
+ * a usable cache_dir are answered from the persistent result store when
+ * it has them (SweepOutcome::fromCache) and stored when they run.
  */
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/experiment.hpp"
@@ -121,7 +106,7 @@ struct SweepOutcome
     size_t cacheHits() const;
 };
 
-/** The worker pool.  Stateless between calls; cheap to construct. */
+/** The sweep driver.  Stateless between calls; cheap to construct. */
 class ExperimentRunner
 {
   public:
@@ -147,15 +132,15 @@ class ExperimentRunner
                                const std::string &name = std::string());
 
     /**
-     * Run every spec on the pool.  Pre-warms the shared lazy state the
-     * specs need, captures per-spec exceptions, and returns results in
-     * spec order.
+     * Run every spec through a sim::Scheduler of threads() workers:
+     * submit all, flush, wait all.  Captures per-spec failures and
+     * returns results in spec order.
      */
     SweepOutcome run(const std::vector<ExperimentSpec> &specs) const;
 
     /**
-     * Generic parallel-for over [0, count): the pool invokes @p fn for
-     * each index exactly once.  Exceptions thrown by @p fn are captured
+     * Generic parallel-for over [0, count) on a sim::JobPool of up to
+     * threads() workers: @p fn runs for each index exactly once.  Exceptions thrown by @p fn are captured
      * per index (sorted by index on return) and do not stop the other
      * jobs.  @p fn must synchronize any shared mutable state itself;
      * writing to distinct elements of a pre-sized vector is safe.
@@ -166,77 +151,6 @@ class ExperimentRunner
   private:
     RunnerConfig _config;
     int _threads;
-};
-
-/**
- * A persistent fixed-size worker pool for *asynchronous* single-job
- * submission — the long-lived counterpart of ExperimentRunner::run()'s
- * batch fan-out, built for daemon-shaped callers (the serve layer)
- * that receive work one spec at a time and must not pay thread
- * creation per request.
- *
- * Jobs are plain closures; the pool runs each exactly once, in
- * submission order per worker pickup (FIFO queue).  A job's exception
- * is swallowed after being reported through util::warn — a daemon's
- * pool must survive any single bad job; callers that care capture
- * errors inside the closure (the serve layer records them in its
- * in-flight table).
- *
- * Determinism note: the pool adds no randomness of its own.  Jobs that
- * follow the spec-derived-seed rule (ExperimentRunner::deriveSeed)
- * produce results independent of which worker ran them or in what
- * order — the property the serve layer's byte-identity contract
- * relies on.
- */
-class JobPool
-{
-  public:
-    /** Start @p threads workers (0 = ExperimentRunner::resolveThreads
-        auto semantics: COOLAIR_THREADS, else hardware concurrency). */
-    explicit JobPool(int threads = 0);
-
-    /** Drains the queue (runs every submitted job), then joins. */
-    ~JobPool();
-
-    JobPool(const JobPool &) = delete;
-    JobPool &operator=(const JobPool &) = delete;
-
-    /** Number of worker threads. */
-    int threads() const { return int(_workers.size()); }
-
-    /**
-     * Enqueue @p job.  Thread-safe.  Must not be called after the
-     * destructor has begun (the serve layer guarantees this by owning
-     * the pool as its last member, destroyed first).
-     *
-     * Trace propagation: the submitter's current obs trace context
-     * (obs::currentTraceId) is captured here and re-opened around the
-     * job on whichever worker runs it, so spans recorded inside the
-     * job correlate with the submitting request's trace.
-     */
-    void submit(std::function<void()> job);
-
-    /** Block until every job submitted so far has finished running. */
-    void drain();
-
-    /**
-     * Jobs queued or currently executing.  A snapshot — by the time
-     * the caller acts on it more jobs may have arrived or finished —
-     * so it is for backlog reporting (HEALTH) and admission control,
-     * not for synchronization (use drain() for that).
-     */
-    size_t pending() const;
-
-  private:
-    void workerLoop(int slot);
-
-    mutable std::mutex _mutex;       ///< mutable: pending() is const
-    std::condition_variable _wake;   ///< workers wait for jobs/stop
-    std::condition_variable _idle;   ///< drain() waits for quiescence
-    std::deque<std::function<void()>> _queue;
-    size_t _running = 0;             ///< jobs currently executing
-    bool _stopping = false;
-    std::vector<std::thread> _workers;
 };
 
 } // namespace sim

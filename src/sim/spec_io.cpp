@@ -90,6 +90,19 @@ parseDouble(const std::string &key, const std::string &value)
     return v;
 }
 
+/** parseDouble for a key whose domain is finite (and, with
+    @p nonNegative, >= 0): nan, inf and out-of-domain values would be
+    simulated as meaningless results. */
+double
+parseFinite(const std::string &key, const std::string &value,
+            bool nonNegative = false)
+{
+    const double v = parseDouble(key, value);
+    if (!std::isfinite(v) || (nonNegative && v < 0.0))
+        outOfDomain(key, value, nonNegative ? "finite and >= 0" : "finite");
+    return v;
+}
+
 int
 parseInt(const std::string &key, const std::string &value)
 {
@@ -347,27 +360,27 @@ applyKeyValue(ExperimentSpec &spec, const std::string &key,
     else if (key == "location.name")
         spec.location.name = value;
     else if (key == "location.latitude")
-        spec.location.latitude = parseDouble(key, value);
+        spec.location.latitude = parseFinite(key, value);
     else if (key == "location.longitude")
-        spec.location.longitude = parseDouble(key, value);
+        spec.location.longitude = parseFinite(key, value);
     else if (key == "climate.annual_mean")
-        cl.annualMeanC = parseDouble(key, value);
+        cl.annualMeanC = parseFinite(key, value);
     else if (key == "climate.seasonal_amplitude")
-        cl.seasonalAmplitudeC = parseDouble(key, value);
+        cl.seasonalAmplitudeC = parseFinite(key, value);
     else if (key == "climate.diurnal_amplitude")
-        cl.diurnalAmplitudeC = parseDouble(key, value);
+        cl.diurnalAmplitudeC = parseFinite(key, value);
     else if (key == "climate.synoptic_amplitude")
-        cl.synopticAmplitudeC = parseDouble(key, value);
+        cl.synopticAmplitudeC = parseFinite(key, value);
     else if (key == "climate.dew_point_depression")
-        cl.dewPointDepressionC = parseDouble(key, value);
+        cl.dewPointDepressionC = parseFinite(key, value);
     else if (key == "climate.dew_point_variability")
-        cl.dewPointVariabilityC = parseDouble(key, value);
+        cl.dewPointVariabilityC = parseFinite(key, value);
     else if (key == "climate.southern_hemisphere")
         cl.southernHemisphere = parseBool(key, value);
     else if (key == "climate.seasonal_peak_day")
-        cl.seasonalPeakDay = parseDouble(key, value);
+        cl.seasonalPeakDay = parseFinite(key, value);
     else if (key == "climate.diurnal_peak_hour")
-        cl.diurnalPeakHour = parseDouble(key, value);
+        cl.diurnalPeakHour = parseFinite(key, value);
     else if (key == "system")
         spec.system = parseSystem(key, value);
     else if (key == "style")
@@ -377,11 +390,11 @@ applyKeyValue(ExperimentSpec &spec, const std::string &key,
     else if (key == "workload")
         spec.workload = parseEnum(kWorkloadTable, workloadKey, key, value);
     else if (key == "max_temp")
-        spec.maxTempC = parseDouble(key, value);
+        spec.maxTempC = parseFinite(key, value);
     else if (key == "forecast_bias")
-        spec.forecastError.biasC = parseDouble(key, value);
+        spec.forecastError.biasC = parseFinite(key, value);
     else if (key == "forecast_noise")
-        spec.forecastError.noiseStddevC = parseDouble(key, value);
+        spec.forecastError.noiseStddevC = parseFinite(key, value, true);
     else if (key == "weeks")
         spec.weeks = parseInt(key, value);
     else if (key == "day")
@@ -410,16 +423,12 @@ applyKeyValue(ExperimentSpec &spec, const std::string &key,
         spec.bandWidthC = parseDouble(key, value);
         if (!std::isfinite(*spec.bandWidthC) || *spec.bandWidthC <= 0.0)
             outOfDomain(key, value, "finite and > 0");
-    } else if (key == "band_offset") {
-        spec.bandOffsetC = parseDouble(key, value);
-        if (!std::isfinite(*spec.bandOffsetC))
-            outOfDomain(key, value, "finite");
-    } else if (key == "switch_penalty") {
-        spec.switchPenalty = parseDouble(key, value);
-        if (!std::isfinite(*spec.switchPenalty) || *spec.switchPenalty < 0.0)
-            outOfDomain(key, value, "finite and >= 0");
-    } else if (key == "sleep_decay")
-        spec.sleepDecayPerEpoch = parseDouble(key, value);
+    } else if (key == "band_offset")
+        spec.bandOffsetC = parseFinite(key, value);
+    else if (key == "switch_penalty")
+        spec.switchPenalty = parseFinite(key, value, true);
+    else if (key == "sleep_decay")
+        spec.sleepDecayPerEpoch = parseFinite(key, value);
     else if (key == "horizon") {
         // Model steps per optimizer decision: at most one day of 2-min
         // steps, which also bounds the per-epoch rollout cost.

@@ -13,17 +13,21 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "obs/stats.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/experiment.hpp"
+#include "sim/runner.hpp"
 #include "sim/spec_io.hpp"
 
 using namespace coolair;
@@ -442,6 +446,93 @@ TEST(Coalesce, JoinedRequestTraceShowsParkDispatchAndLane)
         EXPECT_NE(json.find("serve.batch_dispatch"), std::string::npos);
         EXPECT_NE(json.find("serve.lane"), std::string::npos);
     }
+}
+
+TEST(Scheduling, SweepsAndServingAgree)
+{
+    // Two interleaved batch=8 shapes, three scalar specs and one spec
+    // repeated twice: a sweep at 1 and 4 threads and a coalescing
+    // service must answer every spec with the same bytes.
+    auto line = [](int day, int batch, uint64_t seed) {
+        return "run=day; day=" + std::to_string(day) +
+               "; site=newark; system=baseline; workload=profile; "
+               "physics_step=120; batch=" +
+               std::to_string(batch) + "; seed=" + std::to_string(seed);
+    };
+    std::vector<std::string> lines;
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        lines.push_back(line(10, 8, seed));
+        lines.push_back(line(11, 8, seed));
+        if (seed == 4)
+            lines.push_back(line(10, 8, 50));
+    }
+    for (uint64_t seed = 100; seed < 103; ++seed)
+        lines.push_back(line(10, 0, seed));
+    lines.push_back(line(10, 8, 50));
+    const size_t repeated[2] = {8, lines.size() - 1};
+
+    std::vector<sim::ExperimentSpec> specs;
+    for (const std::string &l : lines)
+        specs.push_back(sim::parseSpec(specTextFromArg(l)));
+
+    // The runner's batches: each shape's specs in spec order, chunked
+    // by their batch width.
+    std::map<std::string, int64_t> per_shape;
+    for (const sim::ExperimentSpec &spec : specs)
+        if (spec.batch > 0)
+            ++per_shape[sim::batchShapeKey(spec)];
+    int64_t want_batches = 0, want_ragged = 0;
+    for (const auto &[shape, n] : per_shape) {
+        want_batches += (n + 7) / 8;
+        want_ragged += n % 8;
+    }
+
+    const char *saved = std::getenv("COOLAIR_THREADS");
+    const std::string saved_threads = saved ? saved : "";
+    std::vector<std::string> sweep_bytes[2];
+    const char *thread_counts[2] = {"1", "4"};
+    for (int run = 0; run < 2; ++run) {
+        ASSERT_EQ(setenv("COOLAIR_THREADS", thread_counts[run], 1), 0);
+        obs::StatsRegistry &reg = obs::registry();
+        const int64_t batches0 =
+            reg.counter("batch.batches_executed", "").value();
+        const int64_t ragged0 =
+            reg.counter("batch.ragged_tail_lanes", "").value();
+        obs::setEnabled(true);
+        const sim::SweepOutcome sweep = sim::ExperimentRunner().run(specs);
+        obs::setEnabled(false);
+        ASSERT_TRUE(sweep.allOk()) << sweep.failures.front().message;
+        EXPECT_EQ(reg.counter("batch.batches_executed", "").value() -
+                      batches0,
+                  want_batches);
+        EXPECT_EQ(reg.counter("batch.ragged_tail_lanes", "").value() -
+                      ragged0,
+                  want_ragged);
+        for (const sim::ExperimentResult &result : sweep.results)
+            sweep_bytes[run].push_back(sim::formatResult(result));
+    }
+    if (saved)
+        setenv("COOLAIR_THREADS", saved_threads.c_str(), 1);
+    else
+        unsetenv("COOLAIR_THREADS");
+
+    ServiceConfig config;
+    config.coalesceLanes = 8;
+    ExperimentService service(config);
+    std::vector<uint64_t> tickets;
+    for (const std::string &l : lines) {
+        ExperimentService::Submitted sub = service.submit(specTextFromArg(l));
+        ASSERT_TRUE(sub.ok) << sub.error;
+        tickets.push_back(sub.ticket);
+    }
+    for (size_t i = 0; i < lines.size(); ++i) {
+        ExperimentService::Reply reply = service.wait(tickets[i]);
+        ASSERT_TRUE(reply.ok) << lines[i] << ": " << reply.error;
+        EXPECT_EQ(reply.payload, sweep_bytes[0][i]) << lines[i];
+        EXPECT_EQ(sweep_bytes[1][i], sweep_bytes[0][i]) << lines[i];
+    }
+    EXPECT_EQ(sweep_bytes[0][repeated[0]], sweep_bytes[0][repeated[1]]);
+    EXPECT_EQ(lines[repeated[0]], lines[repeated[1]]);
 }
 
 // ----------------------------------------------------- hot cache + busy

@@ -594,3 +594,82 @@ TEST(ServeSpec, HostileRunShapeKeysAnswerErrOnBothEnginesAndStoreNothing)
     EXPECT_EQ(stored(), 1);
     server.stop();
 }
+
+TEST(ServeSpec, HostileModelKeysAnswerErrAndStoreNothing)
+{
+    // Model-input doubles used to accept nan and inf (and a negative
+    // forecast noise) and simulate them: max_temp = nan reported zero
+    // violations, climate.annual_mean = nan 0 kWh of cooling, and the
+    // store kept those results.  On the scalar and the coalesced
+    // batched path alike, each must answer ERR naming the key at parse
+    // time, store nothing, and leave the server answering PING.
+    TempDir dir;
+    serve::ServiceConfig config;
+    config.cacheDir = (dir.path / "store").string();
+    config.coalesceLanes = 3;
+    config.coalesceWaitMs = 1.0;
+    serve::ExperimentService service(config);
+    serve::ServerConfig server_config;
+    server_config.unixPath = (dir.path / "serve.sock").string();
+    serve::LineServer server(service, server_config);
+    server.start();
+    serve::Client client = serve::Client::connectUnix(server_config.unixPath);
+
+    const std::string base = "RUN run=day; day=10; site=newark; "
+                             "system=baseline; workload=profile; "
+                             "physics_step=120; ";
+    const char *bad[][2] = {
+        {"max_temp=nan", "max_temp"},
+        {"max_temp=inf", "max_temp"},
+        {"forecast_bias=inf", "forecast_bias"},
+        {"forecast_bias=nan", "forecast_bias"},
+        {"forecast_noise=-1", "forecast_noise"},
+        {"forecast_noise=nan", "forecast_noise"},
+        {"forecast_noise=inf", "forecast_noise"},
+        {"sleep_decay=nan", "sleep_decay"},
+        {"location.latitude=nan", "location.latitude"},
+        {"location.longitude=-inf", "location.longitude"},
+        {"climate.annual_mean=nan", "climate.annual_mean"},
+        {"climate.seasonal_amplitude=inf", "climate.seasonal_amplitude"},
+        {"climate.diurnal_amplitude=nan", "climate.diurnal_amplitude"},
+        {"climate.synoptic_amplitude=-inf", "climate.synoptic_amplitude"},
+        {"climate.dew_point_depression=nan", "climate.dew_point_depression"},
+        {"climate.dew_point_variability=inf",
+         "climate.dew_point_variability"},
+        {"climate.seasonal_peak_day=nan", "climate.seasonal_peak_day"},
+        {"climate.diurnal_peak_hour=inf", "climate.diurnal_peak_hour"},
+    };
+    const size_t n_bad = sizeof(bad) / sizeof(bad[0]);
+    for (const char *batch : {"batch=0", "batch=3"}) {
+        for (const auto &[assignment, key] : bad) {
+            const std::string line = base + assignment + "; " + batch;
+            serve::Client::Response r = client.request(line);
+            EXPECT_FALSE(r.ok) << line;
+            EXPECT_NE(r.status.find(key), std::string::npos)
+                << line << " -> " << r.status;
+            serve::Client::Response pong = client.request("PING");
+            ASSERT_TRUE(pong.ok) << line << ": " << pong.error;
+            EXPECT_EQ(pong.status, "PONG");
+        }
+    }
+    EXPECT_EQ(service.stats().counter("serve.parse_errors", "").value(),
+              int64_t(2 * n_bad));
+    EXPECT_EQ(service.stats().counter("serve.runs", "").value(), 0);
+
+    auto stored = [&] {
+        int files = 0;
+        if (fs::exists(dir.path / "store"))
+            for (const auto &e :
+                 fs::recursive_directory_iterator(dir.path / "store"))
+                files += e.is_regular_file() ? 1 : 0;
+        return files;
+    };
+    EXPECT_EQ(stored(), 0);
+
+    // The domain edges still run and store.
+    serve::Client::Response ok =
+        client.request(base + "forecast_noise=0; max_temp=-40");
+    EXPECT_TRUE(ok.ok) << ok.error << " " << ok.status;
+    EXPECT_EQ(stored(), 1);
+    server.stop();
+}
