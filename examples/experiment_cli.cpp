@@ -9,6 +9,8 @@
  *   experiment_cli [options] [key=value ...]
  *     --spec <file>           load a spec file (see examples/specs/)
  *     key=value               override any spec key (applied in order)
+ *     --list-keys             print every spec key with its default
+ *                             and domain, and exit
  *     --list-systems          print the system keys and exit
  *     --list-locations        print the named-site keys and exit
  *     --model-cache <path>    save/load the learned bundle
@@ -128,6 +130,9 @@ main(int argc, char **argv)
             };
             if (arg == "--spec") {
                 sim::applySpecText(spec, readFile(next()));
+            } else if (arg == "--list-keys") {
+                std::fputs(sim::formatSpecKeyTable().c_str(), stdout);
+                return 0;
             } else if (arg == "--list-systems") {
                 listSystems();
                 return 0;

@@ -119,14 +119,11 @@ ExperimentService::submit(const std::string &spec_text)
         }
 
         // Serving is metrics-only: side outputs would be written on the
-        // server, and cache placement is the server's choice — strip
+        // server, and cache placement is the server's choice — reset
         // both so the spec the job runs *is* its canonical identity.
         sim::ExperimentSpec &spec = request.spec;
-        spec.traceCsvPath.clear();
-        spec.reportJsonPath.clear();
-        spec.traceJsonPath.clear();
-        spec.cacheDirPath.clear();
-        spec.resultCache = true;
+        sim::copySpecKeys(spec, sim::ExperimentSpec{},
+                          sim::kOutputKeys | sim::kCacheKeys);
         request.id = sim::resultCacheId(spec);
         request.key = request.id;
         request.store = _store.get();

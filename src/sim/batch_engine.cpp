@@ -23,14 +23,15 @@ constexpr int kMaxGridChunk = 4096;
 std::string
 batchShapeKey(const ExperimentSpec &spec)
 {
+    // Lane keys read as a default location and seed 0.
+    static const ExperimentSpec kNeutralLane = [] {
+        ExperimentSpec neutral;
+        neutral.seed = 0;
+        return neutral;
+    }();
     ExperimentSpec shape = spec;
-    shape.location = environment::Location{};
-    shape.seed = 0;
-    shape.cacheDirPath.clear();
-    shape.traceCsvPath.clear();
-    shape.reportJsonPath.clear();
-    shape.traceJsonPath.clear();
-    return formatSpec(shape);
+    copySpecKeys(shape, kNeutralLane, kLaneKeys);
+    return formatSpec(shape, kShapeKeys | kLaneKeys | kCacheKeys);
 }
 
 BatchedEngine::BatchedEngine(std::vector<ExperimentSpec> specs,
@@ -65,6 +66,9 @@ BatchedEngine::BatchedEngine(std::vector<ExperimentSpec> specs,
         LaneState lane;
         lane.spec = std::move(spec);
         try {
+            // A lane's own location and seed meet the spec domains
+            // before its climate is built.
+            RunPlan::forSpec(lane.spec);
             // Trace output needs the scalar engine's per-step sink; its
             // absence here is the documented fault-injection lever.
             if (!lane.spec.traceCsvPath.empty() ||

@@ -40,10 +40,11 @@ namespace coolair {
 namespace sim {
 
 /**
- * The batch-shape key of a spec: its canonical text with the per-lane
- * fields (location, seed, cache/output paths) cleared.  Specs with
- * equal shape keys may share a BatchedEngine; the sweep runner groups
- * by this key.
+ * The batch-shape key of a spec: the canonical text of its shape and
+ * cache keys, with its lane keys (location, seed) at neutral values
+ * and its output paths left out (the key table's role column,
+ * sim/spec_io.hpp).  Specs with equal shape keys may share a
+ * BatchedEngine; the sweep runner groups by this key.
  */
 std::string batchShapeKey(const ExperimentSpec &spec);
 
@@ -71,9 +72,9 @@ class BatchedEngine
      *         batch == 0, shapes differ, or the shared shape is
      *         unrunnable (RunPlan::forSpec).
      *
-     * Per-lane construction failures (e.g. trace output requested) do
-     * NOT throw: the lane is marked dead and surfaces as a failed
-     * LaneResult from run().
+     * Per-lane construction failures (e.g. trace output requested, or
+     * a lane location outside its domain) do NOT throw: the lane is
+     * marked dead and surfaces as a failed LaneResult from run().
      */
     explicit BatchedEngine(std::vector<ExperimentSpec> specs,
                            int requested_width = 0);

@@ -228,10 +228,10 @@ void prewarmSharedState(const std::vector<ExperimentSpec> &specs);
  * range).  Assembles the stack through the scenario layer
  * (sim/scenario.hpp).
  *
- * @throws std::invalid_argument for an unrunnable spec (a run-shape
- *         key outside its RunPlan::forSpec domain, named in the
- *         message), so sweep drivers and the server can report the
- *         failing spec instead of aborting the process.
+ * @throws std::invalid_argument for an unrunnable spec (a key outside
+ *         its validateSpec domain, named in the message), so sweep
+ *         drivers and the server can report the failing spec instead
+ *         of aborting the process.
  */
 ExperimentResult runExperiment(const ExperimentSpec &spec);
 

@@ -24,13 +24,7 @@ resultCacheUsable(const ExperimentSpec &spec)
 std::string
 resultCacheId(const ExperimentSpec &spec)
 {
-    ExperimentSpec canonical = spec;
-    canonical.resultCache = true;
-    canonical.cacheDirPath.clear();
-    canonical.traceCsvPath.clear();
-    canonical.reportJsonPath.clear();
-    canonical.traceJsonPath.clear();
-    return formatSpec(canonical);
+    return formatSpec(spec, kShapeKeys | kLaneKeys);
 }
 
 store::ResultStore

@@ -10,12 +10,13 @@
  * experiment_cli and runExperiment use.
  *
  * Cache identity.  A spec's identity is the canonical formatSpec text
- * of a *normalized* copy: the output paths (trace_csv, report_json,
- * trace_json) and the cache keys themselves (cache_dir, result_cache)
- * are cleared first, so two specs that differ only in where they write
- * side outputs share one cached result.  PR 1 made results a pure
- * function of the spec (seeds derive from spec identity, never from
- * scheduling), which is exactly what makes this sound.
+ * of its shape and lane keys (the key table's role column,
+ * sim/spec_io.hpp): the output paths (trace_csv, report_json,
+ * trace_json, cache_dir) and the cache setting (result_cache) are left
+ * out, so two specs that differ only in where they write side outputs
+ * share one cached result.  Results are a pure function of the spec
+ * (seeds derive from spec identity, never from scheduling), which is
+ * exactly what makes this sound.
  *
  * Versioning.  Entries are salted with kResultCacheSalt (bump it when
  * simulation semantics change — any change that alters metrics for an
@@ -50,7 +51,7 @@ inline constexpr const char kResultCacheSalt[] = "coolair-sim-1";
     from disk (cache_dir set, result_cache on, no trace outputs). */
 bool resultCacheUsable(const ExperimentSpec &spec);
 
-/** Canonical cache identity text of @p spec (normalized formatSpec). */
+/** Canonical cache identity text of @p spec: its shape and lane keys. */
 std::string resultCacheId(const ExperimentSpec &spec);
 
 /** Open the experiment result store at @p dir (sim salt + version). */

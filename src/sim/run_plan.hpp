@@ -4,7 +4,7 @@
 /**
  * @file
  * The run plan: what span of simulated time a spec covers and on what
- * timeline, derived and validated in one place for both engines.
+ * timeline, derived in one place for both engines.
  *
  * A run is a list of segments, each a warm-up followed by a measured
  * span.  The scalar Engine and the BatchedEngine step the same plan
@@ -54,13 +54,11 @@ struct RunPlan
     std::vector<RunSegment> segments;
 
     /**
-     * The plan of @p spec's run kind.  Every run-shape key is checked
-     * against its domain before any integer conversion:
-     * physics_step integral in [1, 3600] and dividing 60 when below 60,
-     * weeks in [1, 52], day in [0, 365), and
-     * 0 <= start_day < end_day <= start_day + 365.
+     * The plan of @p spec's run kind, derived after validateSpec
+     * (sim/spec_io.hpp) accepted the whole spec, so every integer
+     * conversion here is in range.
      *
-     * @throws std::invalid_argument naming the offending key.
+     * @throws std::invalid_argument naming every violating key.
      */
     static RunPlan forSpec(const ExperimentSpec &spec);
 };

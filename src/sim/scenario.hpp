@@ -6,7 +6,7 @@
  * The scenario layer: one run lifecycle from a declarative
  * ExperimentSpec, shared by the scalar and the batched engine:
  *
- *  1. plan      — RunPlan::forSpec validates the run shape and lists the
+ *  1. plan      — RunPlan::forSpec validates the spec and lists the
  *                 segments to step (sim/run_plan.hpp);
  *  2. assembly  — assembleRun builds the per-run parts (climate, weather
  *                 provider, forecaster, workload, controller, metrics);
@@ -224,8 +224,8 @@ class ScenarioBuilder
 
     /**
      * Assemble the stack.
-     * @throws std::invalid_argument for an unrunnable spec (any run-shape
-     *         key outside its RunPlan::forSpec domain).
+     * @throws std::invalid_argument for an unrunnable spec (any key
+     *         outside its validateSpec domain).
      * @throws std::runtime_error if spec.traceCsvPath cannot be opened.
      */
     std::unique_ptr<Scenario> build();

@@ -1,14 +1,21 @@
 #include "sim/spec_io.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
-#include "util/logging.hpp"
+#include "util/sim_time.hpp"
 
 namespace coolair {
 namespace sim {
@@ -16,41 +23,8 @@ namespace sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Enumerator tables (sized against the enum-count constants, so adding
-// an enumerator without a spec key fails to compile).
-// ---------------------------------------------------------------------------
-
-constexpr std::array kWorkloadTable = {
-    WorkloadKind::Facebook, WorkloadKind::Nutch,
-    WorkloadKind::FacebookProfile, WorkloadKind::SteadyHalf};
-static_assert(kWorkloadTable.size() == size_t(kWorkloadKindCount),
-              "workload table out of sync with WorkloadKind");
-
-constexpr std::array kVariantTable = {
-    PlantVariant::Standard, PlantVariant::Evaporative, PlantVariant::Chiller};
-static_assert(kVariantTable.size() == size_t(kPlantVariantCount),
-              "variant table out of sync with PlantVariant");
-
-constexpr std::array kStyleTable = {cooling::ActuatorStyle::Abrupt,
-                                    cooling::ActuatorStyle::Smooth};
-static_assert(kStyleTable.size() == size_t(cooling::kActuatorStyleCount),
-              "style table out of sync with ActuatorStyle");
-
-constexpr std::array kRunKindTable = {
-    RunKind::YearWeekly, RunKind::SingleDay, RunKind::DayRange};
-static_assert(kRunKindTable.size() == size_t(kRunKindCount),
-              "run-kind table out of sync with RunKind");
-
-constexpr std::array kSiteTable = {environment::NamedSite::Newark,
-                                   environment::NamedSite::Chad,
-                                   environment::NamedSite::Santiago,
-                                   environment::NamedSite::Iceland,
-                                   environment::NamedSite::Singapore};
-static_assert(kSiteTable.size() == size_t(environment::kNamedSiteCount),
-              "site table out of sync with NamedSite");
-
-// ---------------------------------------------------------------------------
-// Lexical helpers.
+// Lexical helpers and value text, one overload per field type.  Doubles
+// print as %.17g, so the text round trip is exact.
 // ---------------------------------------------------------------------------
 
 std::string
@@ -70,380 +44,511 @@ badValue(const std::string &key, const std::string &value)
                                 value + "'");
 }
 
-[[noreturn]] void
-outOfDomain(const std::string &key, const std::string &value,
-            const char *domain)
+void
+parseInto(double &out, const std::string &key, const std::string &value)
 {
-    throw std::invalid_argument("spec: bad value for '" + key + "': '" +
-                                value + "' (" + domain + ")");
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    if (value.empty())
-        badValue(key, value);
     char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end != value.c_str() + value.size())
+    out = std::strtod(value.c_str(), &end);
+    if (value.empty() || end != value.c_str() + value.size())
         badValue(key, value);
-    return v;
 }
 
-/** parseDouble for a key whose domain is finite (and, with
-    @p nonNegative, >= 0): nan, inf and out-of-domain values would be
-    simulated as meaningless results. */
-double
-parseFinite(const std::string &key, const std::string &value,
-            bool nonNegative = false)
+void
+parseInto(int &out, const std::string &key, const std::string &value)
 {
-    const double v = parseDouble(key, value);
-    if (!std::isfinite(v) || (nonNegative && v < 0.0))
-        outOfDomain(key, value, nonNegative ? "finite and >= 0" : "finite");
-    return v;
-}
-
-int
-parseInt(const std::string &key, const std::string &value)
-{
-    if (value.empty())
-        badValue(key, value);
     char *end = nullptr;
-    long v = std::strtol(value.c_str(), &end, 10);
-    if (end != value.c_str() + value.size() || v < INT_MIN || v > INT_MAX)
+    const long v = std::strtol(value.c_str(), &end, 10);
+    if (value.empty() || end != value.c_str() + value.size() ||
+        v < INT_MIN || v > INT_MAX)
         badValue(key, value);
-    return int(v);
+    out = int(v);
 }
 
-uint64_t
-parseU64(const std::string &key, const std::string &value)
+void
+parseInto(uint64_t &out, const std::string &key, const std::string &value)
 {
-    if (value.empty() || value[0] == '-')
-        badValue(key, value);
     char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end != value.c_str() + value.size())
+    errno = 0;
+    out = std::strtoull(value.c_str(), &end, 10);
+    // strtoull negates a '-' and saturates on overflow instead of failing.
+    if (value.empty() || value[0] == '-' ||
+        end != value.c_str() + value.size() || errno == ERANGE)
         badValue(key, value);
-    return uint64_t(v);
 }
 
-bool
-parseBool(const std::string &key, const std::string &value)
+void
+parseInto(bool &out, const std::string &key, const std::string &value)
 {
-    if (value == "true" || value == "1")
-        return true;
-    if (value == "false" || value == "0")
-        return false;
-    badValue(key, value);
+    out = value == "true" || value == "1";
+    if (!out && value != "false" && value != "0")
+        badValue(key, value);
+}
+
+void
+parseInto(std::string &out, const std::string &, const std::string &value)
+{
+    out = value;
+}
+
+template <typename T>
+void
+parseInto(std::optional<T> &out, const std::string &key,
+          const std::string &value)
+{
+    parseInto(out.emplace(), key, value);
 }
 
 std::string
-fmtDouble(double v)
+textOf(double v)
 {
-    // %.17g guarantees the exact value survives the text round trip.
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
 }
 
-template <typename Enum, size_t N, typename KeyFn>
-Enum
-parseEnum(const std::array<Enum, N> &table, KeyFn key_of,
-          const std::string &key, const std::string &value)
+std::string textOf(int v) { return std::to_string(v); }
+std::string textOf(uint64_t v) { return std::to_string(v); }
+std::string textOf(bool v) { return v ? "true" : "false"; }
+std::string textOf(const std::string &v) { return v; }
+template <typename T>
+std::string textOf(const std::optional<T> &v) { return v ? textOf(*v) : ""; }
+
+/** The value a domain checks: doubles and ints, when set. */
+std::optional<double> numberOf(double v) { return v; }
+std::optional<double> numberOf(int v) { return v; }
+template <typename T>
+std::optional<double> numberOf(const std::optional<T> &v)
+{ return v ? numberOf(*v) : std::nullopt; }
+template <typename T>
+std::optional<double> numberOf(const T &) { return std::nullopt; }
+
+/** What a field accepts beyond its domain, for --list-keys. */
+template <typename T>
+const char *acceptsOf(const T *) { return ""; }
+const char *acceptsOf(const bool *) { return "true|false"; }
+const char *acceptsOf(const std::string *) { return "text"; }
+const char *acceptsOf(const uint64_t *) { return "an unsigned 64-bit integer"; }
+
+/** A number for a message (not a round trip). */
+std::string
+fmtShort(double v)
 {
-    for (Enum e : table)
-        if (value == key_of(e))
-            return e;
-    badValue(key, value);
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return buf;
 }
 
-SystemId
-parseSystem(const std::string &key, const std::string &value)
-{
-    for (SystemId id : allSystemIds())
-        if (value == systemKey(id))
-            return id;
-    badValue(key, value);
-}
+// Spec text of each enumerator, indexed by it (every enum here is
+// numbered from 0); a missing or extra name fails to compile.
+constexpr const char *kSystemKeys[] = {
+    "baseline", "temperature", "variation", "energy",   "allnd",
+    "alldef",   "varlow",      "varhigh",   "energydef"};
+constexpr const char *kWorkloadKeys[] = {"facebook", "nutch", "profile",
+                                         "steady"};
+constexpr const char *kVariantKeys[] = {"standard", "evaporative", "chiller"};
+constexpr const char *kStyleKeys[] = {"abrupt", "smooth"};
+constexpr const char *kRunKindKeys[] = {"year", "day", "range"};
+constexpr const char *kSiteKeys[] = {"newark", "chad", "santiago", "iceland",
+                                     "singapore"};
+static_assert(std::size(kSystemKeys) == kSystemIdCount);
+static_assert(std::size(kWorkloadKeys) == kWorkloadKindCount);
+static_assert(std::size(kVariantKeys) == kPlantVariantCount);
+static_assert(std::size(kStyleKeys) == cooling::kActuatorStyleCount);
+static_assert(std::size(kRunKindKeys) == kRunKindCount);
+static_assert(std::size(kSiteKeys) == environment::kNamedSiteCount);
 
 } // anonymous namespace
-
-// ---------------------------------------------------------------------------
-// Enumerator keys (exhaustive switches; adding an enumerator without a
-// key is a compile warning here and a failed static_assert above).
-// ---------------------------------------------------------------------------
 
 const char *
 systemKey(SystemId id)
 {
-    switch (id) {
-      case SystemId::Baseline:      return "baseline";
-      case SystemId::Temperature:   return "temperature";
-      case SystemId::Variation:     return "variation";
-      case SystemId::Energy:        return "energy";
-      case SystemId::AllNd:         return "allnd";
-      case SystemId::AllDef:        return "alldef";
-      case SystemId::VarLowRecirc:  return "varlow";
-      case SystemId::VarHighRecirc: return "varhigh";
-      case SystemId::EnergyDef:     return "energydef";
-    }
-    util::panic("systemKey: unknown system");
+    return kSystemKeys[int(id)];
 }
 
 const char *
 workloadKey(WorkloadKind kind)
 {
-    switch (kind) {
-      case WorkloadKind::Facebook:        return "facebook";
-      case WorkloadKind::Nutch:           return "nutch";
-      case WorkloadKind::FacebookProfile: return "profile";
-      case WorkloadKind::SteadyHalf:      return "steady";
-    }
-    util::panic("workloadKey: unknown workload kind");
+    return kWorkloadKeys[int(kind)];
 }
 
 const char *
 variantKey(PlantVariant variant)
 {
-    switch (variant) {
-      case PlantVariant::Standard:    return "standard";
-      case PlantVariant::Evaporative: return "evaporative";
-      case PlantVariant::Chiller:     return "chiller";
-    }
-    util::panic("variantKey: unknown plant variant");
+    return kVariantKeys[int(variant)];
 }
 
 const char *
 styleKey(cooling::ActuatorStyle style)
 {
-    switch (style) {
-      case cooling::ActuatorStyle::Abrupt: return "abrupt";
-      case cooling::ActuatorStyle::Smooth: return "smooth";
-    }
-    util::panic("styleKey: unknown actuator style");
+    return kStyleKeys[int(style)];
 }
 
 const char *
 runKindKey(RunKind kind)
 {
-    switch (kind) {
-      case RunKind::YearWeekly: return "year";
-      case RunKind::SingleDay:  return "day";
-      case RunKind::DayRange:   return "range";
-    }
-    util::panic("runKindKey: unknown run kind");
+    return kRunKindKeys[int(kind)];
 }
 
 const char *
 siteKey(environment::NamedSite site)
 {
-    switch (site) {
-      case environment::NamedSite::Newark:    return "newark";
-      case environment::NamedSite::Chad:      return "chad";
-      case environment::NamedSite::Santiago:  return "santiago";
-      case environment::NamedSite::Iceland:   return "iceland";
-      case environment::NamedSite::Singapore: return "singapore";
-    }
-    util::panic("siteKey: unknown site");
+    return kSiteKeys[int(site)];
 }
 
 // ---------------------------------------------------------------------------
-// Formatting.
-// ---------------------------------------------------------------------------
-
-std::string
-formatSpec(const ExperimentSpec &spec)
-{
-    std::ostringstream os;
-    os << "run = " << runKindKey(spec.runKind) << "\n";
-
-    bool named = false;
-    for (environment::NamedSite site : kSiteTable) {
-        if (spec.location == environment::namedLocation(site)) {
-            os << "site = " << siteKey(site) << "\n";
-            named = true;
-            break;
-        }
-    }
-    if (!named) {
-        const environment::ClimateParams &cl = spec.location.climate;
-        os << "location.name = " << spec.location.name << "\n";
-        os << "location.latitude = " << fmtDouble(spec.location.latitude)
-           << "\n";
-        os << "location.longitude = " << fmtDouble(spec.location.longitude)
-           << "\n";
-        os << "climate.annual_mean = " << fmtDouble(cl.annualMeanC) << "\n";
-        os << "climate.seasonal_amplitude = "
-           << fmtDouble(cl.seasonalAmplitudeC) << "\n";
-        os << "climate.diurnal_amplitude = "
-           << fmtDouble(cl.diurnalAmplitudeC) << "\n";
-        os << "climate.synoptic_amplitude = "
-           << fmtDouble(cl.synopticAmplitudeC) << "\n";
-        os << "climate.dew_point_depression = "
-           << fmtDouble(cl.dewPointDepressionC) << "\n";
-        os << "climate.dew_point_variability = "
-           << fmtDouble(cl.dewPointVariabilityC) << "\n";
-        os << "climate.southern_hemisphere = "
-           << (cl.southernHemisphere ? "true" : "false") << "\n";
-        os << "climate.seasonal_peak_day = " << fmtDouble(cl.seasonalPeakDay)
-           << "\n";
-        os << "climate.diurnal_peak_hour = " << fmtDouble(cl.diurnalPeakHour)
-           << "\n";
-    }
-
-    os << "system = " << systemKey(spec.system) << "\n";
-    os << "style = " << styleKey(spec.style) << "\n";
-    os << "variant = " << variantKey(spec.variant) << "\n";
-    os << "workload = " << workloadKey(spec.workload) << "\n";
-    os << "max_temp = " << fmtDouble(spec.maxTempC) << "\n";
-    os << "forecast_bias = " << fmtDouble(spec.forecastError.biasC) << "\n";
-    os << "forecast_noise = " << fmtDouble(spec.forecastError.noiseStddevC)
-       << "\n";
-    os << "weeks = " << spec.weeks << "\n";
-    os << "day = " << spec.day << "\n";
-    os << "start_day = " << spec.startDay << "\n";
-    os << "end_day = " << spec.endDay << "\n";
-    os << "physics_step = " << fmtDouble(spec.physicsStepS) << "\n";
-    os << "seed = " << spec.seed << "\n";
-    os << "weather_cache = " << (spec.weatherCache ? "true" : "false")
-       << "\n";
-
-    // Cache and output keys are optional (defaults are omitted), so
-    // spec texts from before the result store parse unchanged and the
-    // normalized cache identity (sim/result_cache.hpp) stays free of
-    // them.
-    if (!spec.resultCache)
-        os << "result_cache = false\n";
-    if (!spec.cacheDirPath.empty())
-        os << "cache_dir = " << spec.cacheDirPath << "\n";
-    if (!spec.traceCsvPath.empty())
-        os << "trace_csv = " << spec.traceCsvPath << "\n";
-    if (!spec.reportJsonPath.empty())
-        os << "report_json = " << spec.reportJsonPath << "\n";
-    if (!spec.traceJsonPath.empty())
-        os << "trace_json = " << spec.traceJsonPath << "\n";
-    if (spec.bandWidthC)
-        os << "band_width = " << fmtDouble(*spec.bandWidthC) << "\n";
-    if (spec.bandOffsetC)
-        os << "band_offset = " << fmtDouble(*spec.bandOffsetC) << "\n";
-    if (spec.switchPenalty)
-        os << "switch_penalty = " << fmtDouble(*spec.switchPenalty) << "\n";
-    if (spec.sleepDecayPerEpoch)
-        os << "sleep_decay = " << fmtDouble(*spec.sleepDecayPerEpoch) << "\n";
-    if (spec.horizonSteps)
-        os << "horizon = " << *spec.horizonSteps << "\n";
-    // batch=0 (the scalar path) is the default and omitted; emitting the
-    // key only for batched specs gives them a distinct normalized cache
-    // identity, so batched and scalar results never alias in the store.
-    if (spec.batch != 0)
-        os << "batch = " << spec.batch << "\n";
-    return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Parsing.
+// The key table: one row per spec key.
 // ---------------------------------------------------------------------------
 
 namespace {
 
+/** How a key's value is parsed, written, checked and copied. */
+struct Codec
+{
+    void (*parse)(ExperimentSpec &, const std::string &key,
+                  const std::string &value);
+    std::string (*text)(const ExperimentSpec &);
+    std::optional<double> (*number)(const ExperimentSpec &);
+    bool (*same)(const ExperimentSpec &, const ExperimentSpec &);
+    void (*copy)(ExperimentSpec &to, const ExperimentSpec &from);
+    std::string (*accepts)();
+};
+
+/** Field accessors only read, so calling one on a const spec is safe. */
+ExperimentSpec &
+mut(const ExperimentSpec &spec)
+{
+    return const_cast<ExperimentSpec &>(spec);
+}
+
+/** The Codec of the field @p Field (a `T &(*)(ExperimentSpec &)`). */
+template <auto Field>
+constexpr Codec
+field()
+{
+    using T = std::remove_reference_t<decltype(Field(mut({})))>;
+    return {[](ExperimentSpec &s, const std::string &k,
+               const std::string &v) { parseInto(Field(s), k, v); },
+            [](const ExperimentSpec &s) { return textOf(Field(mut(s))); },
+            [](const ExperimentSpec &s) { return numberOf(Field(mut(s))); },
+            [](const ExperimentSpec &a, const ExperimentSpec &b) {
+                return Field(mut(a)) == Field(mut(b));
+            },
+            [](ExperimentSpec &to, const ExperimentSpec &from) {
+                Field(to) = Field(mut(from));
+            },
+            [] {
+                return std::string(acceptsOf(static_cast<const T *>(nullptr)));
+            }};
+}
+
+/** The Codec of a choice among @p Names, read by @p Get (-1: none of
+    them) and written by @p Set. */
+template <const auto &Names, auto Get, auto Set>
+constexpr Codec
+choice()
+{
+    constexpr int n = int(std::size(Names));
+    return {[](ExperimentSpec &s, const std::string &k,
+               const std::string &v) {
+                for (int i = 0; i < n; ++i)
+                    if (v == Names[i])
+                        return Set(s, i);
+                badValue(k, v);
+            },
+            [](const ExperimentSpec &s) {
+                const int i = Get(s);
+                return std::string(i >= 0 ? Names[i] : "");
+            },
+            [](const ExperimentSpec &) { return std::optional<double>(); },
+            [](const ExperimentSpec &a, const ExperimentSpec &b) {
+                return Get(a) == Get(b);
+            },
+            [](ExperimentSpec &to, const ExperimentSpec &from) {
+                if (const int i = Get(from); i >= 0)
+                    Set(to, i);
+            },
+            [] {
+                std::string all;
+                for (int i = 0; i < n; ++i)
+                    all += (i ? "|" : "") + std::string(Names[i]);
+                return all;
+            }};
+}
+
+/** The choice() of enum field @p Member, spelled by @p Names. */
+template <auto Member, const auto &Names>
+constexpr Codec
+enumField()
+{
+    using E = std::remove_cvref_t<decltype(mut({}).*Member)>;
+    return choice<Names,
+                  [](const ExperimentSpec &s) { return int(s.*Member); },
+                  [](ExperimentSpec &s, int i) { s.*Member = E(i); }>();
+}
+
+/** The named site whose location @p spec has, or -1 for a custom one. */
+int
+namedSiteOf(const ExperimentSpec &spec)
+{
+    using environment::kNamedSiteCount;
+    static const auto named = [] {
+        std::array<environment::Location, kNamedSiteCount> all;
+        for (int i = 0; i < kNamedSiteCount; ++i)
+            all[size_t(i)] =
+                environment::namedLocation(environment::NamedSite(i));
+        return all;
+    }();
+    for (int i = 0; i < kNamedSiteCount; ++i)
+        if (spec.location == named[size_t(i)])
+            return i;
+    return -1;
+}
+
 void
-applyKeyValue(ExperimentSpec &spec, const std::string &key,
+setNamedSite(ExperimentSpec &spec, int site)
+{
+    spec.location = environment::namedLocation(environment::NamedSite(site));
+}
+
+/**
+ * A numeric key's domain: an interval written as in mathematics
+ * (@c lb is '[' or '(', @c rb is ']' or ')'; lb == 0 for none), an
+ * integer flag, and a named rule where an interval is not enough.
+ */
+struct Domain
+{
+    char lb = 0;
+    double lo = 0.0;
+    double hi = 0.0;
+    char rb = 0;
+    bool integer = false;
+    const char *rule = nullptr;  ///< What @c holds checks, in words.
+    bool (*holds)(const ExperimentSpec &, double) = nullptr;
+};
+
+/** When formatSpec writes a key. */
+enum class Emit
+{
+    Always,
+    /** Optional keys, omitted at their default: spec texts from before
+        a key existed keep their canonical bytes. */
+    IfSet,
+    IfNamed,   ///< `site`: only when a named site matches.
+    IfCustom,  ///< location.* / climate.*: only when none does.
+};
+
+struct Key
+{
+    std::string_view name;
+    unsigned role;  ///< A KeyRole.
+    Codec codec;
+    Domain domain = {};
+    Emit emit = Emit::Always;
+    /** The run kind that reads this key; the others ignore it, and it
+        is checked only by validateSpec. */
+    std::optional<RunKind> runKind = std::nullopt;
+};
+
+bool
+dividesAMinute(const ExperimentSpec &, double step)
+{
+    // Sensors sample every max(60, step) seconds on the step grid.
+    return step >= 60.0 || 60 % int64_t(step) == 0;
+}
+
+bool
+withinAYearOfStart(const ExperimentSpec &spec, double end_day)
+{
+    return end_day > spec.startDay &&
+           end_day <= double(spec.startDay) + util::kDaysPerYear;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+#define F(path) field<[](ExperimentSpec &s) -> auto & { return s.path; }>()
+#define CLIMATE(member) F(location.climate.member)
+#define ENUM(member, names) enumField<&ExperimentSpec::member, names>()
+
+// Rows are in canonical text order: formatSpec writes them top to
+// bottom, so reordering rows changes every result-cache id.  DESIGN.md
+// "Spec keys and domains" gives the reason for each domain.
+constexpr Key kKeys[] = {
+    {"run", kShapeKeys, ENUM(runKind, kRunKindKeys)},
+    {"site", kLaneKeys, choice<kSiteKeys, namedSiteOf, setNamedSite>(), {},
+     Emit::IfNamed},
+    {"location.name", kLaneKeys, F(location.name), {}, Emit::IfCustom},
+    {"location.latitude", kLaneKeys, F(location.latitude),
+     {'[', -90, 90, ']'}, Emit::IfCustom},
+    {"location.longitude", kLaneKeys, F(location.longitude),
+     {'[', -180, 180, ']'}, Emit::IfCustom},
+    {"climate.annual_mean", kLaneKeys, CLIMATE(annualMeanC),
+     {'[', -60, 40, ']'}, Emit::IfCustom},
+    {"climate.seasonal_amplitude", kLaneKeys, CLIMATE(seasonalAmplitudeC),
+     {'[', 0, 40, ']'}, Emit::IfCustom},
+    {"climate.diurnal_amplitude", kLaneKeys, CLIMATE(diurnalAmplitudeC),
+     {'[', 0, 20, ']'}, Emit::IfCustom},
+    {"climate.synoptic_amplitude", kLaneKeys, CLIMATE(synopticAmplitudeC),
+     {'[', 0, 20, ']'}, Emit::IfCustom},
+    {"climate.dew_point_depression", kLaneKeys, CLIMATE(dewPointDepressionC),
+     {'[', 0, 40, ']'}, Emit::IfCustom},
+    {"climate.dew_point_variability", kLaneKeys,
+     CLIMATE(dewPointVariabilityC), {'[', 0, 15, ']'}, Emit::IfCustom},
+    {"climate.southern_hemisphere", kLaneKeys, CLIMATE(southernHemisphere),
+     {}, Emit::IfCustom},
+    {"climate.seasonal_peak_day", kLaneKeys, CLIMATE(seasonalPeakDay),
+     {'[', 0, 366, ')'}, Emit::IfCustom},
+    {"climate.diurnal_peak_hour", kLaneKeys, CLIMATE(diurnalPeakHour),
+     {'[', 0, 24, ')'}, Emit::IfCustom},
+    {"system", kShapeKeys, ENUM(system, kSystemKeys)},
+    {"style", kShapeKeys, ENUM(style, kStyleKeys)},
+    {"variant", kShapeKeys, ENUM(variant, kVariantKeys)},
+    {"workload", kShapeKeys, ENUM(workload, kWorkloadKeys)},
+    {"max_temp", kShapeKeys, F(maxTempC), {'[', -40, 65, ']'}},
+    {"forecast_bias", kShapeKeys, F(forecastError.biasC), {'[', -50, 50, ']'}},
+    {"forecast_noise", kShapeKeys, F(forecastError.noiseStddevC),
+     {'[', 0, 50, ']'}},
+    {"weeks", kShapeKeys, F(weeks), {'[', 1, 52, ']'}, Emit::Always,
+     RunKind::YearWeekly},
+    {"day", kShapeKeys, F(day), {'[', 0, 365, ')'}, Emit::Always,
+     RunKind::SingleDay},
+    {"start_day", kShapeKeys, F(startDay), {'[', 0, kInf, ')'}, Emit::Always,
+     RunKind::DayRange},
+    {"end_day", kShapeKeys, F(endDay),
+     {0, 0, 0, 0, false, "greater than start_day and at most start_day + 365",
+      withinAYearOfStart},
+     Emit::Always, RunKind::DayRange},
+    {"physics_step", kShapeKeys, F(physicsStepS),
+     {'[', 1, 3600, ']', true, "that divides 60 when below 60",
+      dividesAMinute}},
+    {"seed", kLaneKeys, F(seed)},
+    {"weather_cache", kShapeKeys, F(weatherCache)},
+    {"result_cache", kCacheKeys, F(resultCache), {}, Emit::IfSet},
+    {"cache_dir", kOutputKeys, F(cacheDirPath), {}, Emit::IfSet},
+    {"trace_csv", kOutputKeys, F(traceCsvPath), {}, Emit::IfSet},
+    {"report_json", kOutputKeys, F(reportJsonPath), {}, Emit::IfSet},
+    {"trace_json", kOutputKeys, F(traceJsonPath), {}, Emit::IfSet},
+    {"band_width", kShapeKeys, F(bandWidthC), {'(', 0, 20, ']'}, Emit::IfSet},
+    {"band_offset", kShapeKeys, F(bandOffsetC), {'[', -20, 20, ']'},
+     Emit::IfSet},
+    {"switch_penalty", kShapeKeys, F(switchPenalty), {'[', 0, 100, ']'},
+     Emit::IfSet},
+    {"sleep_decay", kShapeKeys, F(sleepDecayPerEpoch), {'[', 0, 1, ']'},
+     Emit::IfSet},
+    {"horizon", kShapeKeys, F(horizonSteps), {'[', 1, 720, ']'}, Emit::IfSet},
+    // batch = 0 (the scalar path) is omitted, so batched and scalar
+    // specs never share a result-cache id.
+    {"batch", kShapeKeys, F(batch), {'[', 0, 1024, ']'}, Emit::IfSet},
+};
+
+#undef ENUM
+#undef CLIMATE
+#undef F
+
+const ExperimentSpec kDefaults{};
+
+/** The domain in words: "an integer in [1, 3600] that divides ...". */
+std::string
+domainText(const Domain &d)
+{
+    std::string out = d.integer ? "an integer " : "";
+    if (d.lb)
+        out += "in " + (d.lb + fmtShort(d.lo)) + ", " + fmtShort(d.hi) +
+               d.rb;
+    if (d.rule)
+        out += (d.lb ? " " : "") + std::string(d.rule);
+    return out;
+}
+
+/** Why @p key's value in @p spec is outside its domain ("" if not). */
+std::string
+violation(const Key &key, const ExperimentSpec &spec)
+{
+    const std::optional<double> number = key.codec.number(spec);
+    if (!number)
+        return "";
+    const double v = *number;
+    const Domain &d = key.domain;
+    const bool in_interval =
+        !d.lb || ((d.lb == '[' ? v >= d.lo : v > d.lo) &&
+                  (d.rb == ']' ? v <= d.hi : v < d.hi));
+    // In order: `holds` may cast v to an integer.
+    if (in_interval && (!d.integer || v == std::floor(v)) &&
+        (!d.holds || d.holds(spec, v)))
+        return "";
+    // A non-positive value in a positive domain keeps the run plan's
+    // historical wording ("weeks must be positive").
+    if (v <= 0.0 && d.lb && (d.lo > 0.0 || (d.lo == 0.0 && d.lb == '('))) {
+        std::string words(key.name);
+        std::replace(words.begin(), words.end(), '_', ' ');
+        return words + " must be positive";
+    }
+    return std::string(key.name) + " must be " + domainText(d) + " (got " +
+           fmtShort(v) + ")";
+}
+
+void
+applyKeyValue(ExperimentSpec &spec, const std::string &name,
               const std::string &value)
 {
-    environment::ClimateParams &cl = spec.location.climate;
-
-    if (key == "run")
-        spec.runKind = parseEnum(kRunKindTable, runKindKey, key, value);
-    else if (key == "site")
-        spec.location = environment::namedLocation(
-            parseEnum(kSiteTable, siteKey, key, value));
-    else if (key == "location.name")
-        spec.location.name = value;
-    else if (key == "location.latitude")
-        spec.location.latitude = parseFinite(key, value);
-    else if (key == "location.longitude")
-        spec.location.longitude = parseFinite(key, value);
-    else if (key == "climate.annual_mean")
-        cl.annualMeanC = parseFinite(key, value);
-    else if (key == "climate.seasonal_amplitude")
-        cl.seasonalAmplitudeC = parseFinite(key, value);
-    else if (key == "climate.diurnal_amplitude")
-        cl.diurnalAmplitudeC = parseFinite(key, value);
-    else if (key == "climate.synoptic_amplitude")
-        cl.synopticAmplitudeC = parseFinite(key, value);
-    else if (key == "climate.dew_point_depression")
-        cl.dewPointDepressionC = parseFinite(key, value);
-    else if (key == "climate.dew_point_variability")
-        cl.dewPointVariabilityC = parseFinite(key, value);
-    else if (key == "climate.southern_hemisphere")
-        cl.southernHemisphere = parseBool(key, value);
-    else if (key == "climate.seasonal_peak_day")
-        cl.seasonalPeakDay = parseFinite(key, value);
-    else if (key == "climate.diurnal_peak_hour")
-        cl.diurnalPeakHour = parseFinite(key, value);
-    else if (key == "system")
-        spec.system = parseSystem(key, value);
-    else if (key == "style")
-        spec.style = parseEnum(kStyleTable, styleKey, key, value);
-    else if (key == "variant")
-        spec.variant = parseEnum(kVariantTable, variantKey, key, value);
-    else if (key == "workload")
-        spec.workload = parseEnum(kWorkloadTable, workloadKey, key, value);
-    else if (key == "max_temp")
-        spec.maxTempC = parseFinite(key, value);
-    else if (key == "forecast_bias")
-        spec.forecastError.biasC = parseFinite(key, value);
-    else if (key == "forecast_noise")
-        spec.forecastError.noiseStddevC = parseFinite(key, value, true);
-    else if (key == "weeks")
-        spec.weeks = parseInt(key, value);
-    else if (key == "day")
-        spec.day = parseInt(key, value);
-    else if (key == "start_day")
-        spec.startDay = parseInt(key, value);
-    else if (key == "end_day")
-        spec.endDay = parseInt(key, value);
-    else if (key == "physics_step")
-        spec.physicsStepS = parseDouble(key, value);
-    else if (key == "seed")
-        spec.seed = parseU64(key, value);
-    else if (key == "weather_cache")
-        spec.weatherCache = parseBool(key, value);
-    else if (key == "result_cache")
-        spec.resultCache = parseBool(key, value);
-    else if (key == "cache_dir")
-        spec.cacheDirPath = value;
-    else if (key == "trace_csv")
-        spec.traceCsvPath = value;
-    else if (key == "report_json")
-        spec.reportJsonPath = value;
-    else if (key == "trace_json")
-        spec.traceJsonPath = value;
-    else if (key == "band_width") {
-        spec.bandWidthC = parseDouble(key, value);
-        if (!std::isfinite(*spec.bandWidthC) || *spec.bandWidthC <= 0.0)
-            outOfDomain(key, value, "finite and > 0");
-    } else if (key == "band_offset")
-        spec.bandOffsetC = parseFinite(key, value);
-    else if (key == "switch_penalty")
-        spec.switchPenalty = parseFinite(key, value, true);
-    else if (key == "sleep_decay")
-        spec.sleepDecayPerEpoch = parseFinite(key, value);
-    else if (key == "horizon") {
-        // Model steps per optimizer decision: at most one day of 2-min
-        // steps, which also bounds the per-epoch rollout cost.
-        spec.horizonSteps = parseInt(key, value);
-        if (*spec.horizonSteps < 1 || *spec.horizonSteps > 720)
-            outOfDomain(key, value, "integer in [1, 720]");
-    } else if (key == "batch") {
-        spec.batch = parseInt(key, value);
-        if (spec.batch < 0 || spec.batch > 1024)
-            badValue(key, value);
-    } else
-        throw std::invalid_argument("spec: unknown key '" + key + "'");
+    const Key *key = std::find_if(std::begin(kKeys), std::end(kKeys),
+                                  [&](const Key &k) { return k.name == name; });
+    if (key == std::end(kKeys))
+        throw std::invalid_argument("spec: unknown key '" + name + "'");
+    key->codec.parse(spec, name, value);
+    // A run-kind key waits for validateSpec: the run kind may come later.
+    if (key->runKind)
+        return;
+    const std::string why = violation(*key, spec);
+    if (!why.empty())
+        throw std::invalid_argument("spec: bad value for '" + name + "': '" +
+                                    value + "' (" + why + ")");
 }
 
 } // anonymous namespace
+
+// ---------------------------------------------------------------------------
+// Walks over the key table.
+// ---------------------------------------------------------------------------
+
+std::string
+formatSpec(const ExperimentSpec &spec, unsigned roles)
+{
+    const bool named = namedSiteOf(spec) >= 0;
+    std::string out;
+    out.reserve(1024);
+    for (const Key &key : kKeys) {
+        if (!(key.role & roles) ||
+            (key.emit == Emit::IfSet && key.codec.same(spec, kDefaults)) ||
+            (key.emit == Emit::IfNamed && !named) ||
+            (key.emit == Emit::IfCustom && named))
+            continue;
+        out.append(key.name).append(" = ");
+        out.append(key.codec.text(spec)).append("\n");
+    }
+    return out;
+}
+
+void
+copySpecKeys(ExperimentSpec &to, const ExperimentSpec &from, unsigned roles)
+{
+    for (const Key &key : kKeys)
+        if (key.role & roles)
+            key.codec.copy(to, from);
+}
+
+std::vector<SpecViolation>
+validateSpec(const ExperimentSpec &spec)
+{
+    std::vector<SpecViolation> out;
+    for (const Key &key : kKeys) {
+        if (key.runKind && *key.runKind != spec.runKind)
+            continue;
+        std::string why = violation(key, spec);
+        if (!why.empty())
+            out.push_back({key.name.data(), std::move(why)});
+    }
+    return out;
+}
 
 void
 applySpecAssignment(ExperimentSpec &spec, const std::string &assignment)
@@ -492,7 +597,37 @@ parseSpec(const std::string &text)
     ExperimentSpec spec;
     spec.location = environment::namedLocation(environment::NamedSite::Newark);
     applySpecText(spec, text);
+    std::string what;
+    for (const SpecViolation &v : validateSpec(spec))
+        what += (what.empty() ? "" : "; ") + v.what;
+    if (!what.empty())
+        throw std::invalid_argument("spec: " + what);
     return spec;
+}
+
+std::string
+formatSpecKeyTable()
+{
+    const ExperimentSpec defaults = parseSpec("");
+    std::string out;
+    char line[512];
+    std::snprintf(line, sizeof(line), "%-30s %-20s %s\n", "key", "default",
+                  "domain");
+    out += line;
+    for (const Key &key : kKeys) {
+        const std::string value = key.codec.text(defaults);
+        std::string accepts = key.codec.accepts();
+        if (accepts.empty())
+            accepts = domainText(key.domain);
+        if (key.runKind)
+            accepts += std::string(" (run = ") + runKindKey(*key.runKind) +
+                       ")";
+        std::snprintf(line, sizeof(line), "%-30s %-20s %s\n",
+                      std::string(key.name).c_str(),
+                      value.empty() ? "-" : value.c_str(), accepts.c_str());
+        out += line;
+    }
+    return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +670,7 @@ void
 formatSummary(std::ostringstream &os, const char *prefix, const Summary &s)
 {
     for (const SummaryField &f : kSummaryFields)
-        os << prefix << "." << f.key << " = " << fmtDouble(s.*(f.field))
+        os << prefix << "." << f.key << " = " << textOf(s.*(f.field))
            << "\n";
     os << prefix << ".days = " << s.days << "\n";
 }
@@ -547,13 +682,13 @@ applySummaryKey(Summary &s, const std::string &key, const std::string &field,
 {
     for (size_t i = 0; i < kSummaryFieldCount; ++i) {
         if (field == kSummaryFields[i].key) {
-            s.*(kSummaryFields[i].field) = parseDouble(key, value);
+            parseInto(s.*(kSummaryFields[i].field), key, value);
             seen[i] = true;
             return true;
         }
     }
     if (field == "days") {
-        s.days = size_t(parseU64(key, value));
+        parseInto(s.days, key, value);
         ++days_seen;
         return true;
     }
@@ -595,7 +730,9 @@ parseResult(const std::string &text)
         std::string value = trim(stripped.substr(eq + 1));
 
         if (key == "result") {
-            if (parseInt(key, value) != kResultFormatVersion)
+            int version = 0;
+            parseInto(version, key, value);
+            if (version != kResultFormatVersion)
                 throw std::invalid_argument(
                     "result: unsupported version '" + value + "'");
             seen_version = true;

@@ -24,35 +24,81 @@
  * `#` comments are ignored.  Locations serialize as the `site` shortcut
  * when they exactly match one of the five named sites, and as explicit
  * `location.*` / `climate.*` keys otherwise.
+ *
+ * Every key is one row of the key table in spec_io.cpp: its name, its
+ * field and text codec, its domain, and its role.  Parsing,
+ * formatting, validation, the result-cache id, the batch-shape key and
+ * `experiment_cli --list-keys` are all walks over that table.
  */
 
 #include <string>
+#include <vector>
 
 #include "sim/experiment.hpp"
 
 namespace coolair {
 namespace sim {
 
-/** Render a spec as spec-file text (ends with a newline). */
-std::string formatSpec(const ExperimentSpec &spec);
+/** Which identities derived from a spec include a key (a bit mask). */
+enum KeyRole : unsigned
+{
+    kShapeKeys = 1,   ///< Model and run shape: result id and batch shape.
+    kLaneKeys = 2,    ///< site, location.*, climate.*, seed: the result
+                      ///< id; the batch shape reads them as neutral.
+    kOutputKeys = 4,  ///< trace_csv, report_json, trace_json, cache_dir.
+    kCacheKeys = 8,   ///< result_cache: the batch shape only.
+    kAllKeys = 15,
+};
 
 /**
- * Parse spec-file text into a spec, starting from the defaults.
- * @throws std::invalid_argument on unknown keys or malformed values.
+ * Render the keys of @p roles as spec-file text (ends with a newline),
+ * in table order.  Optional keys at their default are omitted.
+ */
+std::string formatSpec(const ExperimentSpec &spec, unsigned roles = kAllKeys);
+
+/** Set every key of @p roles in @p to its value in @p from. */
+void copySpecKeys(ExperimentSpec &to, const ExperimentSpec &from,
+                  unsigned roles);
+
+/** One key outside its domain. */
+struct SpecViolation
+{
+    const char *key;   ///< The offending key.
+    std::string what;  ///< What its value must be, as a sentence.
+};
+
+/**
+ * Check every key against its domain, and each run-kind key (weeks,
+ * day, start_day, end_day) only when the spec's run kind reads it.
+ * @returns every violation, in table order (empty when valid).
+ */
+std::vector<SpecViolation> validateSpec(const ExperimentSpec &spec);
+
+/**
+ * Parse spec-file text into a spec, starting from the defaults, and
+ * validate it.
+ * @throws std::invalid_argument on unknown keys, malformed values or
+ *         any validateSpec violation, naming the key.
  */
 ExperimentSpec parseSpec(const std::string &text);
 
 /**
  * Apply spec-file text on top of an existing spec (later keys win).
+ * Each key is checked against its own domain as it is applied; the
+ * run-kind keys are left to validateSpec.
  * @throws std::invalid_argument on unknown keys or malformed values.
  */
 void applySpecText(ExperimentSpec &spec, const std::string &text);
 
 /**
- * Apply one `key=value` assignment (the experiment_cli override form).
+ * Apply one `key=value` assignment (the experiment_cli override form),
+ * checked as in applySpecText.
  * @throws std::invalid_argument on unknown keys or malformed values.
  */
 void applySpecAssignment(ExperimentSpec &spec, const std::string &assignment);
+
+/** Every key with its default (parseSpec("")) and domain, one a line. */
+std::string formatSpecKeyTable();
 
 /**
  * Version of the result text form below.  Bump whenever formatResult's

@@ -310,7 +310,13 @@ randomSpec(Rng &rng)
     spec.day = int(rng.uniformInt(0, 364));
     spec.startDay = int(rng.uniformInt(0, 180));
     spec.endDay = spec.startDay + int(rng.uniformInt(1, 14));
-    spec.physicsStepS = rng.uniform(5.0, 120.0);
+    // Inside physics_step's domain: a divisor of 60, or an integer in
+    // [60, 3600].
+    constexpr double kMinuteDivisors[] = {1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30};
+    spec.physicsStepS =
+        rng.bernoulli(0.5)
+            ? kMinuteDivisors[size_t(rng.uniformInt(0, 10))]
+            : double(rng.uniformInt(60, 3600));
     spec.seed = rng.next();
     spec.weatherCache = rng.bernoulli(0.5);
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "environment/world_grid.hpp"
+#include "sim/batch_engine.hpp"
 #include "sim/result_cache.hpp"
 #include "sim/runner.hpp"
 #include "sim/spec_io.hpp"
@@ -243,3 +244,219 @@ TEST_F(ResultCacheTest, RunReportsCarryStoreStatsAndProvenance)
     EXPECT_NE(std::string::npos, report.find("\"store.hits\"")) << report;
 }
 
+
+// ---------------------------------------------------------------------------
+// Golden canonical text.  The store keys every entry on resultCacheId's
+// bytes and the batch scheduler groups lanes by batchShapeKey's, so these
+// texts are pinned byte for byte: a drift would strand every stored
+// result.  The round-trip fuzz only checks that they agree with
+// themselves.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** The fields every spec below shares after `physics_step`. */
+constexpr const char kFig8Head[] = "run = year\n"
+                                   "site = newark\n"
+                                   "system = allnd\n";
+
+constexpr const char kFig8Body[] = "style = smooth\n"
+                                   "variant = standard\n"
+                                   "workload = facebook\n"
+                                   "max_temp = 30\n"
+                                   "forecast_bias = 0\n"
+                                   "forecast_noise = 0\n"
+                                   "weeks = 52\n"
+                                   "day = 186\n"
+                                   "start_day = 0\n"
+                                   "end_day = 7\n"
+                                   "physics_step = 30\n";
+
+/** batchShapeKey's lane block: the location of a default spec. */
+constexpr const char kNeutralLocation[] =
+    "location.name = \n"
+    "location.latitude = 0\n"
+    "location.longitude = 0\n"
+    "climate.annual_mean = 12\n"
+    "climate.seasonal_amplitude = 10\n"
+    "climate.diurnal_amplitude = 5\n"
+    "climate.synoptic_amplitude = 3\n"
+    "climate.dew_point_depression = 6\n"
+    "climate.dew_point_variability = 2\n"
+    "climate.southern_hemisphere = false\n"
+    "climate.seasonal_peak_day = 201\n"
+    "climate.diurnal_peak_hour = 15\n";
+
+constexpr const char kCustomSpec[] = "run = day\n"
+                                     "location.name = custom-site\n"
+                                     "location.latitude = 52.37\n"
+                                     "location.longitude = 4.9\n"
+                                     "climate.annual_mean = 10.1\n"
+                                     "climate.seasonal_amplitude = 7.3\n"
+                                     "climate.diurnal_amplitude = 4.4\n"
+                                     "climate.synoptic_amplitude = 3.3\n"
+                                     "climate.dew_point_depression = 4.1\n"
+                                     "climate.dew_point_variability = 2.2\n"
+                                     "climate.southern_hemisphere = true\n"
+                                     "climate.seasonal_peak_day = 20.5\n"
+                                     "climate.diurnal_peak_hour = 14.25\n"
+                                     "system = variation\n"
+                                     "style = abrupt\n"
+                                     "variant = evaporative\n"
+                                     "workload = nutch\n"
+                                     "max_temp = 27.5\n"
+                                     "forecast_bias = -1.5\n"
+                                     "forecast_noise = 0.75\n"
+                                     "day = 42\n"
+                                     "physics_step = 60\n"
+                                     "seed = 123456789012345\n"
+                                     "weather_cache = false\n";
+
+constexpr const char kCustomLocation[] =
+    "location.name = custom-site\n"
+    "location.latitude = 52.369999999999997\n"
+    "location.longitude = 4.9000000000000004\n"
+    "climate.annual_mean = 10.1\n"
+    "climate.seasonal_amplitude = 7.2999999999999998\n"
+    "climate.diurnal_amplitude = 4.4000000000000004\n"
+    "climate.synoptic_amplitude = 3.2999999999999998\n"
+    "climate.dew_point_depression = 4.0999999999999996\n"
+    "climate.dew_point_variability = 2.2000000000000002\n"
+    "climate.southern_hemisphere = true\n"
+    "climate.seasonal_peak_day = 20.5\n"
+    "climate.diurnal_peak_hour = 14.25\n";
+
+constexpr const char kCustomBody[] = "system = variation\n"
+                                     "style = abrupt\n"
+                                     "variant = evaporative\n"
+                                     "workload = nutch\n"
+                                     "max_temp = 27.5\n"
+                                     "forecast_bias = -1.5\n"
+                                     "forecast_noise = 0.75\n"
+                                     "weeks = 52\n"
+                                     "day = 42\n"
+                                     "start_day = 0\n"
+                                     "end_day = 7\n"
+                                     "physics_step = 60\n";
+
+/** Every optional key set (batch = 8 among them). */
+constexpr const char kAllSetSpec[] = "site = chad\n"
+                                     "run = range\n"
+                                     "start_day = 10\n"
+                                     "end_day = 17\n"
+                                     "result_cache = false\n"
+                                     "cache_dir = /tmp/store\n"
+                                     "trace_csv = /tmp/t.csv\n"
+                                     "report_json = /tmp/r.json\n"
+                                     "trace_json = /tmp/t.json\n"
+                                     "band_width = 4.5\n"
+                                     "band_offset = 6.25\n"
+                                     "switch_penalty = 2\n"
+                                     "sleep_decay = 0.9\n"
+                                     "horizon = 12\n"
+                                     "batch = 8\n";
+
+constexpr const char kAllSetBody[] = "system = baseline\n"
+                                     "style = smooth\n"
+                                     "variant = standard\n"
+                                     "workload = facebook\n"
+                                     "max_temp = 30\n"
+                                     "forecast_bias = 0\n"
+                                     "forecast_noise = 0\n"
+                                     "weeks = 52\n"
+                                     "day = 186\n"
+                                     "start_day = 10\n"
+                                     "end_day = 17\n"
+                                     "physics_step = 30\n";
+
+constexpr const char kAllSetOutputs[] = "result_cache = false\n"
+                                        "cache_dir = /tmp/store\n"
+                                        "trace_csv = /tmp/t.csv\n"
+                                        "report_json = /tmp/r.json\n"
+                                        "trace_json = /tmp/t.json\n";
+
+constexpr const char kAllSetTuning[] =
+    "band_width = 4.5\n"
+    "band_offset = 6.25\n"
+    "switch_penalty = 2\n"
+    "sleep_decay = 0.90000000000000002\n"
+    "horizon = 12\n"
+    "batch = 8\n";
+
+/** The unset defaults: Newark, baseline, the §5.1 year. */
+constexpr const char kDefaultBody[] = "system = baseline\n"
+                                      "style = smooth\n"
+                                      "variant = standard\n"
+                                      "workload = facebook\n"
+                                      "max_temp = 30\n"
+                                      "forecast_bias = 0\n"
+                                      "forecast_noise = 0\n"
+                                      "weeks = 52\n"
+                                      "day = 186\n"
+                                      "start_day = 0\n"
+                                      "end_day = 7\n"
+                                      "physics_step = 30\n";
+
+struct Golden
+{
+    const char *name;
+    std::string spec;    ///< Spec text fed to parseSpec.
+    std::string format;  ///< formatSpec.
+    std::string id;      ///< resultCacheId.
+    std::string shape;   ///< batchShapeKey.
+};
+
+std::vector<Golden>
+goldens()
+{
+    const std::string fig8 =
+        readFile(std::string(COOLAIR_SOURCE_DIR) +
+                 "/examples/specs/fig8_newark_allnd.spec");
+    const std::string fig8_text = std::string(kFig8Head) + kFig8Body +
+                                  "seed = 7\nweather_cache = true\n";
+    const std::string fig8_shape =
+        std::string("run = year\n") + kNeutralLocation + "system = allnd\n" +
+        kFig8Body + "seed = 0\nweather_cache = true\n";
+    const std::string custom_text =
+        std::string("run = day\n") + kCustomLocation + kCustomBody +
+        "seed = 123456789012345\nweather_cache = false\n";
+    const std::string custom_shape =
+        std::string("run = day\n") + kNeutralLocation + kCustomBody +
+        "seed = 0\nweather_cache = false\n";
+    const std::string all_set_head =
+        std::string("run = range\nsite = chad\n") + kAllSetBody +
+        "seed = 7\nweather_cache = true\n";
+    const std::string default_text =
+        std::string("run = year\nsite = newark\n") + kDefaultBody +
+        "seed = 7\nweather_cache = true\n";
+    return {
+        {"fig8", fig8, fig8_text, fig8_text, fig8_shape},
+        {"fig8 batch=0", fig8 + "batch = 0\n", fig8_text, fig8_text,
+         fig8_shape},
+        {"fig8 batch=8", fig8 + "batch = 8\n", fig8_text + "batch = 8\n",
+         fig8_text + "batch = 8\n", fig8_shape + "batch = 8\n"},
+        {"custom location", kCustomSpec, custom_text, custom_text,
+         custom_shape},
+        {"every optional key set", kAllSetSpec,
+         all_set_head + kAllSetOutputs + kAllSetTuning,
+         all_set_head + kAllSetTuning,
+         std::string("run = range\n") + kNeutralLocation + kAllSetBody +
+             "seed = 0\nweather_cache = true\nresult_cache = false\n" +
+             kAllSetTuning},
+        {"every optional key unset", "", default_text, default_text,
+         std::string("run = year\n") + kNeutralLocation + kDefaultBody +
+             "seed = 0\nweather_cache = true\n"},
+    };
+}
+
+} // anonymous namespace
+
+TEST(CanonicalText, FormatIdAndShapeAreGolden)
+{
+    for (const Golden &g : goldens()) {
+        const ExperimentSpec spec = parseSpec(g.spec);
+        EXPECT_EQ(g.format, formatSpec(spec)) << g.name;
+        EXPECT_EQ(g.id, resultCacheId(spec)) << g.name;
+        EXPECT_EQ(g.shape, batchShapeKey(spec)) << g.name;
+    }
+}

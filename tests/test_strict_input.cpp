@@ -13,13 +13,17 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/predictor.hpp"
 #include "model/cooling_model.hpp"
@@ -575,8 +579,11 @@ TEST(ServeSpec, HostileRunShapeKeysAnswerErrOnBothEnginesAndStoreNothing)
             EXPECT_EQ(pong.status, "PONG");
         }
     }
-    EXPECT_EQ(service.stats().counter("serve.run_failures", "").value(),
+    // Rejected by validateSpec at parse time, before dedup, parking or
+    // the store: nothing reached an engine.
+    EXPECT_EQ(service.stats().counter("serve.parse_errors", "").value(),
               int64_t(2 * n_bad));
+    EXPECT_EQ(service.stats().counter("serve.run_failures", "").value(), 0);
 
     auto stored = [&] {
         int files = 0;
@@ -638,6 +645,18 @@ TEST(ServeSpec, HostileModelKeysAnswerErrAndStoreNothing)
          "climate.dew_point_variability"},
         {"climate.seasonal_peak_day=nan", "climate.seasonal_peak_day"},
         {"climate.diurnal_peak_hour=inf", "climate.diurnal_peak_hour"},
+        // Finite but meaningless: outside the key's domain.
+        {"location.latitude=1e300", "location.latitude"},
+        {"location.longitude=-1e300", "location.longitude"},
+        {"location.latitude=1e6", "location.latitude"},
+        {"max_temp=-1e300", "max_temp"},
+        {"climate.seasonal_amplitude=1e300", "climate.seasonal_amplitude"},
+        {"climate.diurnal_peak_hour=1e300", "climate.diurnal_peak_hour"},
+        {"climate.seasonal_peak_day=-1e300", "climate.seasonal_peak_day"},
+        {"band_width=1e300", "band_width"},
+        {"switch_penalty=1e300", "switch_penalty"},
+        {"sleep_decay=1e300", "sleep_decay"},
+        {"sleep_decay=-1e300", "sleep_decay"},
     };
     const size_t n_bad = sizeof(bad) / sizeof(bad[0]);
     for (const char *batch : {"batch=0", "batch=3"}) {
@@ -671,5 +690,109 @@ TEST(ServeSpec, HostileModelKeysAnswerErrAndStoreNothing)
         client.request(base + "forecast_noise=0; max_temp=-40");
     EXPECT_TRUE(ok.ok) << ok.error << " " << ok.status;
     EXPECT_EQ(stored(), 1);
+    server.stop();
+}
+
+TEST(ServeSpec, EveryNumericKeyAtItsDomainEdgesAnswersOkOrErrNamingIt)
+{
+    // Driven by the key table (through --list-keys' text): every numeric
+    // key gets its domain edges, a value just outside each edge, +-0,
+    // nan, +-inf and +-1e300, on a CoolAir system so the tuning keys
+    // reach the controller.  Each must answer OK or an ERR naming the
+    // key, an ERR must store nothing, a value outside the domain of a
+    // key the run reads must be an ERR, and the server must still
+    // answer PING.
+    TempDir dir;
+    serve::ServiceConfig config;
+    config.cacheDir = (dir.path / "store").string();
+    serve::ExperimentService service(config);
+    serve::ServerConfig server_config;
+    server_config.unixPath = (dir.path / "serve.sock").string();
+    serve::LineServer server(service, server_config);
+    server.start();
+    serve::Client client = serve::Client::connectUnix(server_config.unixPath);
+
+    auto stored = [&] {
+        int files = 0;
+        if (fs::exists(dir.path / "store"))
+            for (const auto &e :
+                 fs::recursive_directory_iterator(dir.path / "store"))
+                files += e.is_regular_file() ? 1 : 0;
+        return files;
+    };
+    auto text = [](double v) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        return std::string(buf);
+    };
+
+    const double inf = std::numeric_limits<double>::infinity();
+    std::istringstream table(sim::formatSpecKeyTable());
+    std::string line;
+    std::getline(table, line);  // header
+    int numeric_keys = 0;
+    while (std::getline(table, line)) {
+        std::istringstream cols(line);
+        std::string key, def, domain;
+        cols >> key >> def;
+        std::getline(cols >> std::ws, domain);
+        // An interval reads "in [lo, hi)" and the like.
+        const size_t in = domain.find("in ");
+        char lb = 0, rb = 0;
+        double lo = -inf, hi = inf;
+        const bool bounded =
+            in != std::string::npos &&
+            std::sscanf(domain.c_str() + in, "in %c%lf, %lf%c", &lb, &lo,
+                        &hi, &rb) == 4;
+        double unused = 0.0;
+        if (!bounded && !util::parseDouble(def, unused))
+            continue;  // not a number: an enum, a bool or text
+        ++numeric_keys;
+
+        std::vector<double> values = {0.0,  -0.0,   std::nan(""), inf,
+                                      -inf, 1e300, -1e300};
+        if (bounded) {
+            for (double edge : {lo, hi}) {
+                if (!std::isfinite(edge))
+                    continue;
+                values.push_back(edge);
+                values.push_back(edge - 1.0);
+                values.push_back(edge + 1.0);
+            }
+            if (std::isfinite(lo))
+                values.push_back(std::nextafter(lo, -inf));
+            if (std::isfinite(hi))
+                values.push_back(std::nextafter(hi, inf));
+        }
+        // The run below is a single day: weeks, start_day and end_day
+        // are not read, so they are not checked either.
+        const bool checked = domain.find("(run = ") == std::string::npos ||
+                             domain.find("(run = day)") != std::string::npos;
+
+        for (double v : values) {
+            const std::string assignment = key + "=" + text(v);
+            const int before = stored();
+            serve::Client::Response r = client.request(
+                "RUN run=day; workload=steady; physics_step=3600; "
+                "system=allnd; " +
+                assignment);
+            const bool inside = (lb == '[' ? v >= lo : v > lo) &&
+                                (rb == ']' ? v <= hi : v < hi);
+            if (r.ok) {
+                EXPECT_TRUE(!bounded || !checked || inside) << assignment;
+            } else {
+                EXPECT_NE(r.status.find(key), std::string::npos)
+                    << assignment << " -> " << r.status;
+                EXPECT_EQ(stored(), before) << assignment;
+            }
+            serve::Client::Response pong = client.request("PING");
+            ASSERT_TRUE(pong.ok) << assignment << ": " << pong.error;
+            EXPECT_EQ(pong.status, "PONG");
+        }
+    }
+    // Every double and integer key of the spec, and the in-domain
+    // values really ran.
+    EXPECT_GE(numeric_keys, 25);
+    EXPECT_GT(service.stats().counter("serve.runs", "").value(), 0);
     server.stop();
 }
