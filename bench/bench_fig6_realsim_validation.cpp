@@ -65,18 +65,14 @@ runRealSimDay(const sim::ExperimentSpec &spec)
 {
     DayResult out;
     sim::ModelSimScenario ms = sim::buildModelSimScenario(spec);
-    int step_idx = 0;
-    ms.runner->setSampleHook([&](const plant::SensorReadings &s) {
-        if (step_idx++ % 5 == 0)  // every 10 minutes at the 2-min step
-            out.maxInletByInterval.push_back(s.maxPodInletC());
+    int n = 0;
+    ms.engine->setTraceSink([&](const sim::TraceRow &r) {
+        if (n++ % 5 == 0)  // every 10 minutes at the 2-min step
+            out.maxInletByInterval.push_back(r.inletMaxC);
     });
-
-    // Start Real-Sim from the physics plant's state at the same instant,
-    // so both simulations begin identically.
-    std::unique_ptr<plant::Plant> init = sim::makePlant(spec);
-    init->initializeSteadyState(
-        ms.climate->sample(util::SimTime::fromCalendar(spec.day, 0)), 6.0);
-    ms.runner->runDay(spec.day, init->readSensors());
+    // Real-Sim starts from the physics plant's state at the same
+    // instant, so both simulations begin identically.
+    ms.runDay(spec.day);
     out.summary = ms.metrics->summary();
     return out;
 }

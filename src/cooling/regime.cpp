@@ -63,6 +63,25 @@ Regime::acCompressor(double speed)
 }
 
 Regime
+Regime::observed(Mode mode, double fc_fan_speed, bool evap_on,
+                 double compressor_speed)
+{
+    switch (mode) {
+      case Mode::Closed:
+        return closed();
+      case Mode::FreeCooling: {
+        Regime r = freeCooling(fc_fan_speed);
+        r.evaporative = evap_on;
+        return r;
+      }
+      case Mode::AirConditioning:
+        return compressor_speed > 0.0 ? acCompressor(compressor_speed)
+                                      : acFanOnly();
+    }
+    util::panic("Regime::observed: unknown mode");
+}
+
+Regime
 Regime::normalized() const
 {
     Regime r = *this;

@@ -72,6 +72,14 @@ struct Regime
     /** AC with the compressor at @p speed (1.0 = full). */
     static Regime acCompressor(double speed = 1.0);
 
+    /**
+     * The regime the units are actually in, from their observed state
+     * (a sensor snapshot's or the actuators'): the key the learned
+     * models are indexed by.
+     */
+    static Regime observed(Mode mode, double fc_fan_speed, bool evap_on,
+                           double compressor_speed);
+
     /** Zero out fields that do not apply to the mode. */
     Regime normalized() const;
 

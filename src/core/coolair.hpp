@@ -115,9 +115,6 @@ class CoolAir
                      const workload::WorkloadStatus &status,
                      const plant::PodLoad &load, util::SimTime now);
 
-    /** The band currently in force. */
-    const TemperatureBand &currentBand() const { return _band; }
-
     /** The configuration in effect. */
     const CoolAirConfig &config() const { return _config; }
 
@@ -139,12 +136,8 @@ class CoolAir
      */
     void setBatchedCandidates(bool on) { _batchedCandidates = on; }
 
-    /** True when candidate scoring runs through the batched scorer. */
-    bool batchedCandidates() const { return _batchedCandidates; }
-
   private:
     void refreshDay(util::SimTime now);
-    cooling::Regime regimeFromStatus(const plant::CoolingStatus &cs) const;
 
     CoolAirConfig _config;
     model::LearnedBundle _bundle;

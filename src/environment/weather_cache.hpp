@@ -70,9 +70,6 @@ class CachedWeatherProvider : public WeatherProvider
     /** The decorated provider. */
     const WeatherProvider &inner() const { return _inner; }
 
-    /** The memo grid step [s] (0 = pass-through). */
-    int64_t gridStepS() const { return _gridStepS; }
-
     /** Underlying sample() evaluations so far (for tests/diagnostics). */
     int64_t underlyingEvals() const { return _underlyingEvals; }
 

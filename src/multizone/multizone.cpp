@@ -32,6 +32,10 @@ MultiZoneEngine::MultiZoneEngine(
     if (!make_controller)
         util::fatal("MultiZoneEngine: controller factory required");
 
+    sim::EngineConfig ec;
+    ec.physicsStepS = config.physicsStepS;
+    ec.sampleIntervalS = sim::sampleIntervalFor(int64_t(config.physicsStepS));
+
     _zones.resize(size_t(config.zones));
     for (int z = 0; z < config.zones; ++z) {
         Zone &zone = _zones[size_t(z)];
@@ -44,6 +48,9 @@ MultiZoneEngine::MultiZoneEngine(
             util::fatal("MultiZoneEngine: factory returned null");
         zone.metrics = std::make_unique<sim::MetricsCollector>(
             sim::MetricsConfig{}, config.plantConfig.numPods);
+        zone.engine = std::make_unique<sim::Engine>(
+            *zone.plant, *zone.cluster, *zone.controller, _climate, ec);
+        zone.engine->setMetrics(zone.metrics.get());
     }
 }
 
@@ -94,9 +101,8 @@ MultiZoneEngine::pickZone(const workload::Job &job)
 void
 MultiZoneEngine::runDay(int day_of_year, const workload::Trace &trace)
 {
-    util::SimTime day_start(int64_t(day_of_year) * util::kSecondsPerDay);
-    util::SimTime warm_start = day_start - sim::kWarmupS;
-    util::SimTime end = day_start + util::kSecondsPerDay;
+    const sim::RunSegment day =
+        sim::RunSegment::days(day_of_year, day_of_year + 1);
 
     // Jobs sorted by submission time.
     std::vector<workload::Job> jobs = trace.jobs;
@@ -106,57 +112,28 @@ MultiZoneEngine::runDay(int day_of_year, const workload::Trace &trace)
               });
     size_t next_job = 0;
 
-    for (Zone &zone : _zones) {
-        zone.plant->initializeSteadyState(_climate.sample(warm_start));
-        zone.nextControlS = warm_start.seconds();
-    }
+    for (Zone &zone : _zones)
+        zone.engine->startSegment(util::SimTime(day.warmStartS));
 
     const int64_t step = int64_t(_config.physicsStepS);
-    for (int64_t t = warm_start.seconds(); t < end.seconds(); t += step) {
+    const int64_t interval = sim::sampleIntervalFor(step);
+    for (int64_t t = day.warmStartS; t < day.endS; t += step) {
         util::SimTime now(t);
-        bool collect = t >= day_start.seconds();
 
         // Dispatch arriving jobs (day-relative submit times).
         while (next_job < jobs.size() &&
-               day_start.seconds() + jobs[next_job].submitS <=
-                   now.seconds()) {
+               day.startS + jobs[next_job].submitS <= t) {
             workload::Job job = jobs[next_job++];
-            job.submitS += day_start.seconds();  // absolute
+            job.submitS += day.startS;  // absolute
             int z = pickZone(job);
             _zones[size_t(z)].cluster->submitJob(job, now);
             _zones[size_t(z)].jobsAssigned++;
         }
 
-        for (Zone &zone : _zones) {
-            bool sample_tick =
-                (t - warm_start.seconds()) % _config.sampleIntervalS == 0;
-            if (sample_tick) {
-                plant::SensorReadings sensors =
-                    zone.plant->readSensors();
-                sensors.time = now;
-                if (t >= zone.nextControlS) {
-                    auto decision = zone.controller->control(
-                        sensors, zone.cluster->status(),
-                        zone.cluster->podLoad(), now);
-                    zone.command = decision.regime;
-                    if (decision.hasPlan)
-                        zone.cluster->applyPlan(decision.plan);
-                    zone.nextControlS =
-                        t + zone.controller->epochS();
-                }
-                if (collect) {
-                    zone.metrics->record(
-                        now, sensors, double(_config.sampleIntervalS));
-                    zone.metrics->recordOutside(
-                        now, _climate.temperature(now));
-                }
-            }
-
-            environment::WeatherSample outside = _climate.sample(now);
-            zone.cluster->step(now, double(step));
-            zone.plant->step(double(step), outside,
-                             zone.cluster->podLoad(), zone.command);
-        }
+        const bool sample = (t - day.warmStartS) % interval == 0;
+        const bool collect = t >= day.startS;
+        for (Zone &zone : _zones)
+            zone.engine->step(now, sample, collect);
     }
 }
 

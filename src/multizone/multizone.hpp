@@ -9,8 +9,9 @@
  * zones' (e.g., containers), each of them would have its own
  * CoolAir-like manager."  This module scales the single-container stack
  * to N independent zones sharing one site climate and one incoming job
- * stream: each zone owns a plant, a cluster, and a controller; a
- * ZoneBalancer assigns arriving jobs to zones.
+ * stream: each zone owns a plant, a cluster, a controller and the
+ * sim::Engine that closes their loop; MultiZoneEngine only assigns
+ * arriving jobs to zones and steps every zone's engine once per tick.
  *
  * Balancing policies:
  *  - RoundRobin: spread jobs evenly (the neutral default);
@@ -30,6 +31,7 @@
 #include "environment/forecast.hpp"
 #include "environment/weather.hpp"
 #include "sim/controller.hpp"
+#include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "workload/cluster.hpp"
@@ -61,11 +63,8 @@ struct MultiZoneConfig
     /** Per-zone cluster configuration. */
     workload::ClusterConfig clusterConfig;
 
-    /** Physics step [s]. */
+    /** Physics step [s]; zones sample every max(60, step) seconds. */
     double physicsStepS = 30.0;
-
-    /** Sensor sampling / metrics interval [s]. */
-    int64_t sampleIntervalS = 60;
 
     uint64_t seed = 11;
 };
@@ -80,9 +79,8 @@ struct Zone
     std::unique_ptr<workload::ClusterSim> cluster;
     std::unique_ptr<sim::Controller> controller;
     std::unique_ptr<sim::MetricsCollector> metrics;
+    std::unique_ptr<sim::Engine> engine;
 
-    cooling::Regime command = cooling::Regime::closed();
-    int64_t nextControlS = 0;
     int64_t jobsAssigned = 0;
 };
 
@@ -158,8 +156,8 @@ struct MultiZoneScenario
  * Build a multi-zone scenario: every zone gets the spec's plant and an
  * independent controller for the spec's system (all zones share the
  * site climate and forecaster).  config.plantConfig, physicsStepS, and
- * seed are overwritten from the spec; zones, policy, clusterConfig, and
- * sampleIntervalS are taken from @p config.
+ * seed are overwritten from the spec; zones, policy and clusterConfig
+ * are taken from @p config.
  */
 MultiZoneScenario buildMultiZoneScenario(const sim::ExperimentSpec &spec,
                                          MultiZoneConfig config);

@@ -378,14 +378,6 @@ Plant::stepDisks(double dt_s, const PodLoad &load)
     }
 }
 
-SensorReadings
-Plant::readSensors()
-{
-    SensorReadings out;
-    readSensors(out);
-    return out;
-}
-
 void
 Plant::readSensors(SensorReadings &out)
 {

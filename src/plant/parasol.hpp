@@ -281,34 +281,64 @@ struct PlantConfig
 };
 
 /**
- * The ground-truth plant.  Deterministic given its seed; step() advances
- * physics, readSensors() samples noisy observations.
+ * What a closed loop steps (sim::Engine): the physics Plant below, or a
+ * learned-model stand-in for it (sim::ModelPlant, Real-Sim).
  */
-class Plant
+class PlantModel
 {
   public:
-    Plant(const PlantConfig &config, uint64_t seed = 1);
-
-    /** The configuration in effect. */
-    const PlantConfig &config() const { return _config; }
+    virtual ~PlantModel() = default;
 
     /**
-     * Advance physics by @p dt_s seconds under the given outside weather
-     * and IT load, with the cooling units commanded to @p command.
+     * Jump to a near-steady state for @p outside conditions, the inside
+     * air about @p inside_offset_c above outside.  Starts runs without a
+     * long warm-up transient.
      */
-    void step(double dt_s, const environment::WeatherSample &outside,
-              const PodLoad &load, const cooling::Regime &command);
+    virtual void initializeSteadyState(
+        const environment::WeatherSample &outside,
+        double inside_offset_c = 6.0) = 0;
 
-    /** Noisy sensor observations of the current state. */
-    SensorReadings readSensors();
+    /**
+     * Advance @p dt_s seconds under the given outside weather and IT
+     * load, with the cooling units commanded to @p command.
+     */
+    virtual void step(double dt_s, const environment::WeatherSample &outside,
+                      const PodLoad &load, const cooling::Regime &command) = 0;
 
     /**
      * Read sensors into a caller-owned buffer (the engine reuses one
      * across the whole run, so steady-state sampling allocates nothing).
-     * Identical observations and noise-stream consumption to
-     * readSensors().
      */
-    void readSensors(SensorReadings &out);
+    virtual void readSensors(SensorReadings &out) = 0;
+
+    /** readSensors() into a fresh snapshot. */
+    SensorReadings readSensors()
+    {
+        SensorReadings out;
+        readSensors(out);
+        return out;
+    }
+};
+
+/**
+ * The ground-truth plant.  Deterministic given its seed; step() advances
+ * physics, readSensors() samples noisy observations.
+ */
+class Plant final : public PlantModel
+{
+  public:
+    Plant(const PlantConfig &config, uint64_t seed = 1);
+
+    using PlantModel::readSensors;
+
+    /** The configuration in effect. */
+    const PlantConfig &config() const { return _config; }
+
+    void step(double dt_s, const environment::WeatherSample &outside,
+              const PodLoad &load, const cooling::Regime &command) override;
+
+    /** Noisy sensor observations of the current state. */
+    void readSensors(SensorReadings &out) override;
 
     /** Noise-free pod inlet temperature (for validation metrics). */
     double truePodInletC(int pod) const;
@@ -318,9 +348,6 @@ class Plant
 
     /** Noise-free disk temperature for a pod. */
     double diskTempC(int pod) const;
-
-    /** Noise-free disk temperatures for all pods at once. */
-    const std::vector<double> &diskTemps() const { return _diskTempC; }
 
     /**
      * Fault injection: freeze pod @p pod's temperature sensor at
@@ -335,9 +362,6 @@ class Plant
     /** Hot-aisle temperature. */
     double hotAisleC() const { return _hotAisleC; }
 
-    /** Structural mass temperature. */
-    double massTempC() const { return _massTempC; }
-
     /** Current IT power [W]. */
     double itPowerW() const { return _itPowerW; }
 
@@ -347,12 +371,8 @@ class Plant
     /** The actuator model (for inspecting actual fan speeds). */
     const cooling::Actuators &actuators() const { return _actuators; }
 
-    /**
-     * Jump the air/mass state to equilibrium-ish values for @p outside
-     * conditions.  Used to start runs without a long warm-up transient.
-     */
     void initializeSteadyState(const environment::WeatherSample &outside,
-                               double inside_offset_c = 6.0);
+                               double inside_offset_c) override;
 
   private:
     /**
@@ -397,7 +417,6 @@ class Plant
         return target + (value - target) * alpha;
     }
 
-    double podFlowShare() const;
     void stepThermal(double dt_s, const environment::WeatherSample &outside,
                      const PodLoad &load);
     void stepHumidity(double dt_s,

@@ -31,7 +31,7 @@ batchShapeKey(const ExperimentSpec &spec)
     }();
     ExperimentSpec shape = spec;
     copySpecKeys(shape, kNeutralLane, kLaneKeys);
-    return formatSpec(shape, kShapeKeys | kLaneKeys | kCacheKeys);
+    return formatSpecIdentity(shape, kShapeKeys | kLaneKeys | kCacheKeys);
 }
 
 BatchedEngine::BatchedEngine(std::vector<ExperimentSpec> specs,

@@ -40,10 +40,10 @@ namespace coolair {
 namespace sim {
 
 /**
- * The batch-shape key of a spec: the canonical text of its shape and
- * cache keys, with its lane keys (location, seed) at neutral values
- * and its output paths left out (the key table's role column,
- * sim/spec_io.hpp).  Specs with equal shape keys may share a
+ * The batch-shape key of a spec: the identity text of its shape and
+ * cache keys (formatSpecIdentity, sim/spec_io.hpp), with its lane keys
+ * (location, seed) at neutral values and its output paths left out
+ * (the key table's role column).  Specs with equal shape keys may share a
  * BatchedEngine; the sweep runner groups by this key.
  */
 std::string batchShapeKey(const ExperimentSpec &spec);

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -8,7 +9,7 @@
 namespace coolair {
 namespace sim {
 
-Engine::Engine(plant::Plant &plant, workload::WorkloadModel &workload,
+Engine::Engine(plant::PlantModel &plant, workload::WorkloadModel &workload,
                Controller &controller, const environment::WeatherProvider &climate,
                const EngineConfig &config)
     : _plant(plant),
@@ -17,14 +18,25 @@ Engine::Engine(plant::Plant &plant, workload::WorkloadModel &workload,
       _climate(climate),
       _config(config)
 {
-    // The range check keeps the integer cast defined; the multiple check
-    // keeps every sample on a physics step.
+    // The range check keeps the integer cast defined; the integral and
+    // multiple checks keep every sample on a physics step.
     if (!(config.sampleIntervalS > 0 && config.physicsStepS >= 1.0 &&
           config.physicsStepS <= double(config.sampleIntervalS)) ||
+        config.physicsStepS != std::floor(config.physicsStepS) ||
         config.sampleIntervalS % int64_t(config.physicsStepS) != 0)
         throw std::invalid_argument("Engine: sample interval must be a "
                                     "multiple of the physics step");
     _command = cooling::Regime::closed();
+}
+
+void
+Engine::refreshLoad()
+{
+    const uint64_t v = _workload.loadVersion();
+    if (v == 0 || v != _loadVersion) {
+        _workload.podLoadInto(_load);
+        _loadVersion = v;
+    }
 }
 
 void
@@ -37,11 +49,7 @@ Engine::sample(util::SimTime now, bool collect,
     // Controller epoch?
     if (now.seconds() >= _nextControlS) {
         workload::WorkloadStatus status = _workload.status();
-        const uint64_t v = _workload.loadVersion();
-        if (v == 0 || v != _loadVersion) {
-            _workload.podLoadInto(_load);
-            _loadVersion = v;
-        }
+        refreshLoad();
         ControlDecision decision =
             _controller.control(_sensors, status, _load, now);
         ++_counters.controlEpochs;
@@ -97,32 +105,35 @@ Engine::sample(util::SimTime now, bool collect,
 }
 
 void
+Engine::startSegment(util::SimTime at)
+{
+    _plant.initializeSteadyState(_climate.sample(at));
+    _nextControlS = at.seconds();
+}
+
+void
+Engine::step(util::SimTime now, bool sample_tick, bool collect)
+{
+    ++_counters.steps;
+    // One weather evaluation serves the metrics/trace sample and the
+    // physics step at this instant.
+    const environment::WeatherSample outside = _climate.sample(now);
+    if (sample_tick)
+        sample(now, collect, outside);
+
+    const double dt = _config.physicsStepS;
+    _workload.step(now, dt);
+    refreshLoad();
+    _plant.step(dt, outside, _load, _command);
+}
+
+void
 Engine::runRange(util::SimTime start, util::SimTime end, bool collect)
 {
-    if (end <= start)
-        return;
-
-    const int64_t step = int64_t(_config.physicsStepS);
-    const int64_t interval = _config.sampleIntervalS;
-
-    for (int64_t t = start.seconds(); t < end.seconds(); t += step) {
-        ++_counters.steps;
-        util::SimTime now(t);
-        // One weather evaluation serves the metrics/trace sample and the
-        // physics step at this instant (sample() used to re-evaluate the
-        // climate model twice on top of this one).
-        environment::WeatherSample outside = _climate.sample(now);
-        if ((t - start.seconds()) % interval == 0)
-            sample(now, collect, outside);
-
-        _workload.step(now, double(step));
-        const uint64_t v = _workload.loadVersion();
-        if (v == 0 || v != _loadVersion) {
-            _workload.podLoadInto(_load);
-            _loadVersion = v;
-        }
-        _plant.step(double(step), outside, _load, _command);
-    }
+    const int64_t step_s = int64_t(_config.physicsStepS);
+    for (int64_t t = start.seconds(); t < end.seconds(); t += step_s)
+        step(util::SimTime(t),
+             (t - start.seconds()) % _config.sampleIntervalS == 0, collect);
 }
 
 void
@@ -132,9 +143,7 @@ Engine::runSegment(const RunSegment &segment)
     const util::SimTime warm_start(segment.warmStartS);
     const util::SimTime start(segment.startS);
 
-    _plant.initializeSteadyState(_climate.sample(warm_start));
-    _nextControlS = segment.warmStartS;
-
+    startSegment(warm_start);
     runRange(warm_start, start, /*collect=*/false);
     runRange(start, util::SimTime(segment.endS), /*collect=*/true);
 }

@@ -3,10 +3,13 @@
 
 /**
  * @file
- * The co-simulation engine: steps climate -> workload -> plant, invokes
- * the controller on its epoch, and feeds the metrics collector and an
- * optional trace sink.  What it runs is a RunPlan's segments
- * (sim/run_plan.hpp); the spec-level lifecycle lives in sim/scenario.hpp.
+ * The co-simulation engine, the one scalar closed loop: steps climate
+ * -> workload -> plant, invokes the controller on its epoch, and feeds
+ * the metrics collector and an optional trace sink.  What it runs is a
+ * RunPlan's segments (sim/run_plan.hpp) on the physics plant, a
+ * Real-Sim day on the learned-model plant (sim/model_plant.hpp), or one
+ * multi-zone tick per zone (multizone/multizone.hpp); the spec-level
+ * lifecycle lives in sim/scenario.hpp.
  */
 
 #include <functional>
@@ -61,9 +64,10 @@ class Engine
   public:
     /**
      * @throws std::invalid_argument unless config.sampleIntervalS is a
-     *         positive multiple of a physics step of at least 1 s.
+     *         positive multiple of an integral physics step of at least
+     *         1 s.
      */
-    Engine(plant::Plant &plant, workload::WorkloadModel &workload,
+    Engine(plant::PlantModel &plant, workload::WorkloadModel &workload,
            Controller &controller, const environment::WeatherProvider &climate,
            const EngineConfig &config = {});
 
@@ -74,16 +78,28 @@ class Engine
     void setTraceSink(TraceSink sink) { _sink = std::move(sink); }
 
     /**
-     * Run the closed loop over [start, end).  @p collect enables
-     * metrics/trace output (disabled during warm-up).
+     * Start a segment at @p at: the plant near steady state for the
+     * weather at @p at, and a control epoch due at @p at.  Control
+     * state (the commanded regime) persists across segments.
+     */
+    void startSegment(util::SimTime at);
+
+    /**
+     * One physics step at @p now: on a sample tick (@p sample_tick)
+     * read the sensors, run the controller if its epoch is due and, when
+     * @p collect, record metrics and trace; then step the workload and
+     * the plant.
+     */
+    void step(util::SimTime now, bool sample_tick, bool collect);
+
+    /**
+     * Run the closed loop over [start, end), sampling every
+     * sampleIntervalS from @p start.  @p collect enables metrics/trace
+     * output (disabled during warm-up).
      */
     void runRange(util::SimTime start, util::SimTime end, bool collect);
 
-    /**
-     * Run one plan segment: initialize the plant near steady state,
-     * warm up, then measure.  Control state (the commanded regime)
-     * persists across segments.
-     */
+    /** Run one plan segment: start it, warm up, then measure. */
     void runSegment(const RunSegment &segment);
 
     /** Measure one calendar day (with warm-up). */
@@ -106,7 +122,10 @@ class Engine
     void sample(util::SimTime now, bool collect,
                 const environment::WeatherSample &outside);
 
-    plant::Plant &_plant;
+    /** Copy the workload's pod load into _load if it changed. */
+    void refreshLoad();
+
+    plant::PlantModel &_plant;
     workload::WorkloadModel &_workload;
     Controller &_controller;
     const environment::WeatherProvider &_climate;

@@ -235,16 +235,6 @@ void prewarmSharedState(const std::vector<ExperimentSpec> &specs);
  */
 ExperimentResult runExperiment(const ExperimentSpec &spec);
 
-/**
- * Run one year-long experiment (the §5.1 protocol) regardless of
- * spec.runKind.  Equivalent to runExperiment with runKind forced to
- * YearWeekly; kept as the historical entry point of the figure benches.
- *
- * @throws std::invalid_argument for an unrunnable spec (see
- *         runExperiment).
- */
-ExperimentResult runYearExperiment(const ExperimentSpec &spec);
-
 } // namespace sim
 } // namespace coolair
 

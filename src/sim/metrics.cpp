@@ -86,13 +86,6 @@ MetricsCollector::recordSample(util::SimTime now,
         _outsideRanges.record(day, 0, *outside_c);
 }
 
-void
-MetricsCollector::recordOutside(util::SimTime now, double outside_c)
-{
-    int day = int(now.seconds() / util::kSecondsPerDay);
-    _outsideRanges.record(day, 0, outside_c);
-}
-
 Summary
 MetricsCollector::summary() const
 {

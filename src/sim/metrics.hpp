@@ -80,17 +80,14 @@ class MetricsCollector
     }
 
     /**
-     * record() plus recordOutside() as one pass — the engines' per-
-     * sample path, sharing a single day computation and call.
+     * record() that also tracks the outside temperature @p outside_c
+     * (Fig. 9's Outside bars): the engines' per-sample path.
      */
     void record(util::SimTime now, const plant::SensorReadings &sensors,
                 double dt_s, double outside_c)
     {
         recordSample(now, sensors, dt_s, &outside_c);
     }
-
-    /** Also track outside temperature ranges (Fig. 9's Outside bars). */
-    void recordOutside(util::SimTime now, double outside_c);
 
     /** Finalize open days and compute the summary. */
     Summary summary() const;

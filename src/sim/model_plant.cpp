@@ -10,9 +10,10 @@ namespace coolair {
 namespace sim {
 
 ModelPlant::ModelPlant(const model::CoolingModel *model,
-                       const plant::PlantConfig &plant_config)
+                       const plant::PlantConfig &plant_config, uint64_t seed)
     : _model(model),
       _plantConfig(plant_config),
+      _seed(seed),
       _actuators(plant_config.actuators),
       _temp(size_t(plant_config.numPods), 22.0),
       _tempPrev(size_t(plant_config.numPods), 22.0)
@@ -21,6 +22,15 @@ ModelPlant::ModelPlant(const model::CoolingModel *model,
         util::panic("ModelPlant: null model");
     if (model->config().numPods != plant_config.numPods)
         util::fatal("ModelPlant: model/plant pod count mismatch");
+}
+
+void
+ModelPlant::initializeSteadyState(const environment::WeatherSample &outside,
+                                  double inside_offset_c)
+{
+    plant::Plant physics(_plantConfig, _seed);
+    physics.initializeSteadyState(outside, inside_offset_c);
+    reset(physics.readSensors());
 }
 
 void
@@ -59,31 +69,27 @@ ModelPlant::itPowerFor(const plant::PodLoad &load, double *dc_util) const
     return power;
 }
 
+cooling::Regime
+ModelPlant::actualRegime() const
+{
+    const cooling::UnitState &unit = _actuators.state();
+    return cooling::Regime::observed(unit.mode, unit.fcFanSpeed, unit.evapOn,
+                                     unit.compressorSpeed);
+}
+
 void
-ModelPlant::step(const environment::WeatherSample &outside,
+ModelPlant::step(double dt_s, const environment::WeatherSample &outside,
                  const plant::PodLoad &load,
                  const cooling::Regime &command)
 {
+    if (dt_s != stepS())
+        util::panic("ModelPlant::step: dt must be the model step");
+
     // Actuator emulation so the model sees achievable fan speeds.
     _actuators.setCommand(command);
-    _actuators.step(stepS());
-    const auto &unit = _actuators.state();
-
-    cooling::Regime actual;
-    switch (unit.mode) {
-      case cooling::Mode::Closed:
-        actual = cooling::Regime::closed();
-        break;
-      case cooling::Mode::FreeCooling:
-        actual = cooling::Regime::freeCooling(unit.fcFanSpeed);
-        actual.evaporative = unit.evapOn;
-        break;
-      case cooling::Mode::AirConditioning:
-        actual = unit.compressorSpeed > 0.0
-                     ? cooling::Regime::acCompressor(unit.compressorSpeed)
-                     : cooling::Regime::acFanOnly();
-        break;
-    }
+    _actuators.step(dt_s);
+    const cooling::UnitState &unit = _actuators.state();
+    const cooling::Regime actual = actualRegime();
 
     _outsidePrev = _outside;
     _outside = outside;
@@ -133,12 +139,11 @@ ModelPlant::step(const environment::WeatherSample &outside,
     _prevRegime = actual;
 }
 
-plant::SensorReadings
-ModelPlant::readSensors(util::SimTime now) const
+void
+ModelPlant::readSensors(plant::SensorReadings &out)
 {
-    plant::SensorReadings out;
-    out.time = now;
     out.podInletC = _temp;
+    out.podDiskC.clear();  // Real-Sim models no disks
 
     double avg = 0.0;
     for (double t : _temp)
@@ -163,76 +168,9 @@ ModelPlant::readSensors(util::SimTime now) const
     out.cooling.damperOpen = unit.damperOpen;
     out.cooling.evapOn = unit.evapOn;
 
-    cooling::Regime actual;
-    switch (unit.mode) {
-      case cooling::Mode::Closed:
-        actual = cooling::Regime::closed();
-        break;
-      case cooling::Mode::FreeCooling:
-        actual = cooling::Regime::freeCooling(unit.fcFanSpeed);
-        actual.evaporative = unit.evapOn;
-        break;
-      case cooling::Mode::AirConditioning:
-        actual = unit.compressorSpeed > 0.0
-                     ? cooling::Regime::acCompressor(unit.compressorSpeed)
-                     : cooling::Regime::acFanOnly();
-        break;
-    }
-    out.coolingPowerW = _model->predictCoolingPower(actual);
+    out.coolingPowerW = _model->predictCoolingPower(actualRegime());
     out.itPowerW = _itPowerW;
     out.dcUtilization = _dcUtilization;
-    return out;
-}
-
-ModelSimRunner::ModelSimRunner(ModelPlant &plant,
-                               workload::WorkloadModel &workload,
-                               Controller &controller,
-                               const environment::WeatherProvider &climate)
-    : _plant(plant),
-      _workload(workload),
-      _controller(controller),
-      _climate(climate)
-{
-}
-
-void
-ModelSimRunner::runDay(int day_of_year, const plant::SensorReadings &init)
-{
-    _plant.reset(init);
-
-    util::SimTime start(int64_t(day_of_year) * util::kSecondsPerDay);
-    util::SimTime end = start + util::kSecondsPerDay;
-    const int64_t step = int64_t(_plant.stepS());
-
-    cooling::Regime command = cooling::Regime::closed();
-    int64_t next_control = start.seconds();
-
-    for (int64_t t = start.seconds(); t < end.seconds(); t += step) {
-        util::SimTime now(t);
-        plant::SensorReadings sensors = _plant.readSensors(now);
-
-        if (t >= next_control) {
-            workload::WorkloadStatus status = _workload.status();
-            plant::PodLoad load = _workload.podLoad();
-            ControlDecision d =
-                _controller.control(sensors, status, load, now);
-            command = d.regime;
-            if (d.hasPlan)
-                _workload.applyPlan(d.plan);
-            next_control = t + _controller.epochS();
-        }
-
-        if (_metrics) {
-            _metrics->record(now, sensors, double(step));
-            _metrics->recordOutside(now, _climate.temperature(now));
-        }
-        if (_hook)
-            _hook(sensors);
-
-        environment::WeatherSample outside = _climate.sample(now);
-        _workload.step(now, double(step));
-        _plant.step(outside, _workload.podLoad(), command);
-    }
 }
 
 } // namespace sim

@@ -13,45 +13,58 @@
  * the learned per-regime linear models, instead of the physical plant
  * equations.  Comparing a controller run on the physics Plant ("real")
  * against the same controller run on ModelPlant reproduces the paper's
- * validation methodology (Figures 6 and 7).
+ * validation methodology (Figures 6 and 7).  Both runs go through the
+ * one closed loop, sim::Engine: ModelPlant is a plant::PlantModel.
  */
-
-#include <functional>
 
 #include "cooling/regime.hpp"
 #include "environment/climate.hpp"
 #include "model/cooling_model.hpp"
 #include "plant/parasol.hpp"
-#include "sim/controller.hpp"
-#include "sim/metrics.hpp"
 
 namespace coolair {
 namespace sim {
 
-/** Learned-model-driven plant. */
-class ModelPlant
+/**
+ * Learned-model-driven plant.  sim::Engine steps it like the physics
+ * plant, at the model step (ModelSimScenario in sim/scenario.hpp).
+ */
+class ModelPlant final : public plant::PlantModel
 {
   public:
     /**
      * @param model        the learned cooling model (not owned)
-     * @param plant_config geometry/power constants (for IT power and
-     *                     actuator emulation)
+     * @param plant_config geometry/power constants (for IT power,
+     *                     actuator emulation and the steady-state start)
+     * @param seed         the physics plant seed of the steady-state start
      */
     ModelPlant(const model::CoolingModel *model,
-               const plant::PlantConfig &plant_config);
+               const plant::PlantConfig &plant_config, uint64_t seed);
 
-    /** Set the state from a sensor snapshot (run start). */
+    using PlantModel::readSensors;
+
+    /**
+     * Start where the physics plant starts: a fresh physics Plant with
+     * the same configuration and seed, initialized at @p outside, whose
+     * sensor readings reset() installs.
+     */
+    void initializeSteadyState(const environment::WeatherSample &outside,
+                               double inside_offset_c) override;
+
+    /** Set the state from a sensor snapshot. */
     void reset(const plant::SensorReadings &init);
 
     /**
-     * Advance one model step (model->config().stepS seconds) with the
-     * commanded regime under the given outside conditions and load.
+     * Advance one model step with the commanded regime under the given
+     * outside conditions and load.
+     * @p dt_s must be stepS().
      */
-    void step(const environment::WeatherSample &outside,
-              const plant::PodLoad &load, const cooling::Regime &command);
+    void step(double dt_s, const environment::WeatherSample &outside,
+              const plant::PodLoad &load,
+              const cooling::Regime &command) override;
 
     /** Current (noise-free) synthetic sensor readings. */
-    plant::SensorReadings readSensors(util::SimTime now) const;
+    void readSensors(plant::SensorReadings &out) override;
 
     /** Model step length [s]. */
     double stepS() const { return _model->config().stepS; }
@@ -59,8 +72,12 @@ class ModelPlant
   private:
     double itPowerFor(const plant::PodLoad &load, double *dc_util) const;
 
+    /** The regime the emulated actuators are in. */
+    cooling::Regime actualRegime() const;
+
     const model::CoolingModel *_model;
     plant::PlantConfig _plantConfig;
+    uint64_t _seed;
     cooling::Actuators _actuators;
 
     std::vector<double> _temp;
@@ -72,43 +89,6 @@ class ModelPlant
     environment::WeatherSample _outsidePrev;
     double _itPowerW = 0.0;
     double _dcUtilization = 1.0;
-};
-
-/**
- * A compact closed-loop runner for ModelPlant (the Engine drives the
- * physics plant; this drives Real-Sim/Smooth-Sim at model-step
- * granularity).
- */
-class ModelSimRunner
-{
-  public:
-    ModelSimRunner(ModelPlant &plant, workload::WorkloadModel &workload,
-                   Controller &controller,
-                   const environment::WeatherProvider &climate);
-
-    /** Attach a metrics collector (not owned). */
-    void setMetrics(MetricsCollector *metrics) { _metrics = metrics; }
-
-    /** Callback invoked with each model step's sensor snapshot. */
-    using SampleHook = std::function<void(const plant::SensorReadings &)>;
-
-    /** Attach a per-step sample hook (e.g. for trace capture). */
-    void setSampleHook(SampleHook hook) { _hook = std::move(hook); }
-
-    /**
-     * Run one measured day, starting from @p init (typically the
-     * physics plant's state at the same instant, so both simulations
-     * start identically).
-     */
-    void runDay(int day_of_year, const plant::SensorReadings &init);
-
-  private:
-    ModelPlant &_plant;
-    workload::WorkloadModel &_workload;
-    Controller &_controller;
-    const environment::WeatherProvider &_climate;
-    MetricsCollector *_metrics = nullptr;
-    SampleHook _hook;
 };
 
 } // namespace sim

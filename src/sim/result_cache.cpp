@@ -24,7 +24,7 @@ resultCacheUsable(const ExperimentSpec &spec)
 std::string
 resultCacheId(const ExperimentSpec &spec)
 {
-    return formatSpec(spec, kShapeKeys | kLaneKeys);
+    return formatSpecIdentity(spec, kShapeKeys | kLaneKeys);
 }
 
 store::ResultStore

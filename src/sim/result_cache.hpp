@@ -9,9 +9,10 @@
  * (sim/scheduler.hpp) writes, and the single cached run
  * experiment_cli and runExperiment use.
  *
- * Cache identity.  A spec's identity is the canonical formatSpec text
- * of its shape and lane keys (the key table's role column,
- * sim/spec_io.hpp): the output paths (trace_csv, report_json,
+ * Cache identity.  A spec's identity is the formatSpecIdentity text of
+ * its shape and lane keys (the key table's role column,
+ * sim/spec_io.hpp), with the run-kind keys its run kind does not read
+ * at their defaults: the output paths (trace_csv, report_json,
  * trace_json, cache_dir) and the cache setting (result_cache) are left
  * out, so two specs that differ only in where they write side outputs
  * share one cached result.  Results are a pure function of the spec

@@ -45,6 +45,12 @@ yearSegments(int weeks)
     return segments;
 }
 
+int64_t
+sampleIntervalFor(int64_t step_s)
+{
+    return std::max<int64_t>(60, step_s);
+}
+
 RunPlan
 RunPlan::forSpec(const ExperimentSpec &spec)
 {
@@ -56,7 +62,7 @@ RunPlan::forSpec(const ExperimentSpec &spec)
 
     RunPlan plan;
     plan.stepS = int64_t(spec.physicsStepS);
-    plan.sampleIntervalS = std::max<int64_t>(60, plan.stepS);
+    plan.sampleIntervalS = sampleIntervalFor(plan.stepS);
 
     switch (spec.runKind) {
       case RunKind::YearWeekly:

@@ -46,11 +46,14 @@ std::vector<int> yearSampleDays(int weeks);
 /** One one-day segment per yearSampleDays(@p weeks) day. */
 std::vector<RunSegment> yearSegments(int weeks);
 
+/** The sensor/metrics interval of a physics step: max(60, @p step_s). */
+int64_t sampleIntervalFor(int64_t step_s);
+
 /** The timeline and segments of one run. */
 struct RunPlan
 {
     int64_t stepS = 0;            ///< Physics step [s].
-    int64_t sampleIntervalS = 0;  ///< Sensor/metrics interval: max(60, step).
+    int64_t sampleIntervalS = 0;  ///< sampleIntervalFor(stepS).
     std::vector<RunSegment> segments;
 
     /**

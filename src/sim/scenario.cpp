@@ -360,7 +360,7 @@ ScenarioBuilder::build()
     if (!_spec.traceJsonPath.empty())
         obs::Tracer::instance().setEnabled(true);
 
-    // Assembly order mirrors the original runYearExperiment exactly.
+    // Assembly order: plant first, then the shared parts.
     scenario->_plant = makePlant(_spec);
     scenario->_parts =
         assembleRun(_spec, std::move(_controller), _metricsConfig);
@@ -427,14 +427,6 @@ runUncached(const ExperimentSpec &spec, const ReportStatsSource &report_source)
     return ScenarioBuilder(spec).build()->run(report_source);
 }
 
-ExperimentResult
-runYearExperiment(const ExperimentSpec &spec)
-{
-    ExperimentSpec year = spec;
-    year.runKind = RunKind::YearWeekly;
-    return runExperiment(year);
-}
-
 // ---------------------------------------------------------------------------
 // Real-Sim / Smooth-Sim.
 // ---------------------------------------------------------------------------
@@ -446,11 +438,22 @@ buildModelSimScenario(const ExperimentSpec &spec)
     static_cast<RunParts &>(ms) = assembleRun(spec);
     ms.spec = spec;
     ms.plant = std::make_unique<ModelPlant>(&bundleFor(spec).model,
-                                            plantConfigFor(spec));
-    ms.runner = std::make_unique<ModelSimRunner>(*ms.plant, *ms.workload,
-                                                 *ms.controller, ms.weather());
-    ms.runner->setMetrics(ms.metrics.get());
+                                            plantConfigFor(spec), spec.seed);
+    EngineConfig ec;
+    ec.physicsStepS = ms.plant->stepS();
+    ec.sampleIntervalS = int64_t(ms.plant->stepS());
+    ms.engine = std::make_unique<Engine>(*ms.plant, *ms.workload,
+                                         *ms.controller, ms.weather(), ec);
+    ms.engine->setMetrics(ms.metrics.get());
     return ms;
+}
+
+void
+ModelSimScenario::runDay(int day_of_year)
+{
+    const util::SimTime start = util::SimTime::fromCalendar(day_of_year, 0);
+    engine->startSegment(start);
+    engine->runRange(start, start + util::kSecondsPerDay, /*collect=*/true);
 }
 
 } // namespace sim

@@ -15,10 +15,10 @@
  *                 and writes the RunReport.
  *
  * Every harness — the year experiments, the figure benches, the
- * examples, the multizone driver — goes through the factories or the
- * ScenarioBuilder here, so an experiment is described by *data* (a
- * spec, serializable via sim/spec_io.hpp) rather than by bespoke
- * construction code.  Harnesses that need a nonstandard piece (a fixed
+ * examples, the Real-Sim stack, the multizone driver — goes through
+ * the factories or the ScenarioBuilder here, so an experiment is
+ * described by *data* (a spec, serializable via sim/spec_io.hpp) rather
+ * than by bespoke construction code.  Harnesses that need a nonstandard piece (a fixed
  * regime, an extra trace sink, custom metrics) override just that piece
  * on the builder and inherit everything else.
  */
@@ -252,16 +252,23 @@ obs::RunReport makeRunReport(const ExperimentSpec &spec,
 // ---------------------------------------------------------------------------
 
 /**
- * A learned-model simulation stack (ModelPlant + ModelSimRunner) over
- * the same assembleRun() parts as the physics Scenario, for the paper's
- * real-vs-simulation validation.  Members are exposed directly: these
- * studies drive the runner by hand (custom start states, sample hooks).
+ * A learned-model simulation stack over the same assembleRun() parts as
+ * the physics Scenario, for the paper's real-vs-simulation validation:
+ * an Engine over a ModelPlant, whose physics step and sample interval
+ * are both the model step.  Members are exposed directly: these studies
+ * attach trace sinks or drive the engine by hand.
  */
 struct ModelSimScenario : RunParts
 {
     ExperimentSpec spec;
     std::unique_ptr<ModelPlant> plant;
-    std::unique_ptr<ModelSimRunner> runner;
+    std::unique_ptr<Engine> engine;
+
+    /**
+     * Measure @p day_of_year from a steady-state start at its first
+     * instant (the physics plant's start state, no warm-up).
+     */
+    void runDay(int day_of_year);
 };
 
 /** Build the Real-Sim/Smooth-Sim counterpart of a spec's scenario. */

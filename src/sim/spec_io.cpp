@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -220,6 +219,13 @@ mut(const ExperimentSpec &spec)
     return const_cast<ExperimentSpec &>(spec);
 }
 
+/** -0 reads as +0: the two are equal specs, so they must share one
+    text and one result id. */
+void positiveZero(double &v) { if (v == 0.0) v = 0.0; }
+void positiveZero(std::optional<double> &v) { if (v) positiveZero(*v); }
+template <typename T>
+void positiveZero(T &) {}
+
 /** The Codec of the field @p Field (a `T &(*)(ExperimentSpec &)`). */
 template <auto Field>
 constexpr Codec
@@ -227,7 +233,10 @@ field()
 {
     using T = std::remove_reference_t<decltype(Field(mut({})))>;
     return {[](ExperimentSpec &s, const std::string &k,
-               const std::string &v) { parseInto(Field(s), k, v); },
+               const std::string &v) {
+                parseInto(Field(s), k, v);
+                positiveZero(Field(s));
+            },
             [](const ExperimentSpec &s) { return textOf(Field(mut(s))); },
             [](const ExperimentSpec &s) { return numberOf(Field(mut(s))); },
             [](const ExperimentSpec &a, const ExperimentSpec &b) {
@@ -363,8 +372,6 @@ withinAYearOfStart(const ExperimentSpec &spec, double end_day)
            end_day <= double(spec.startDay) + util::kDaysPerYear;
 }
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 #define F(path) field<[](ExperimentSpec &s) -> auto & { return s.path; }>()
 #define CLIMATE(member) F(location.climate.member)
 #define ENUM(member, names) enumField<&ExperimentSpec::member, names>()
@@ -411,7 +418,7 @@ constexpr Key kKeys[] = {
      RunKind::YearWeekly},
     {"day", kShapeKeys, F(day), {'[', 0, 365, ')'}, Emit::Always,
      RunKind::SingleDay},
-    {"start_day", kShapeKeys, F(startDay), {'[', 0, kInf, ')'}, Emit::Always,
+    {"start_day", kShapeKeys, F(startDay), {'[', 0, 365, ')'}, Emit::Always,
      RunKind::DayRange},
     {"end_day", kShapeKeys, F(endDay),
      {0, 0, 0, 0, false, "greater than start_day and at most start_day + 365",
@@ -510,8 +517,12 @@ applyKeyValue(ExperimentSpec &spec, const std::string &name,
 // Walks over the key table.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** formatSpec(), with @p identity writing every run-kind key the spec's
+    run kind does not read at its default. */
 std::string
-formatSpec(const ExperimentSpec &spec, unsigned roles)
+formatKeys(const ExperimentSpec &spec, unsigned roles, bool identity)
 {
     const bool named = namedSiteOf(spec) >= 0;
     std::string out;
@@ -522,10 +533,26 @@ formatSpec(const ExperimentSpec &spec, unsigned roles)
             (key.emit == Emit::IfNamed && !named) ||
             (key.emit == Emit::IfCustom && named))
             continue;
+        const bool unread = key.runKind && *key.runKind != spec.runKind;
         out.append(key.name).append(" = ");
-        out.append(key.codec.text(spec)).append("\n");
+        out.append(key.codec.text(identity && unread ? kDefaults : spec))
+            .append("\n");
     }
     return out;
+}
+
+} // anonymous namespace
+
+std::string
+formatSpec(const ExperimentSpec &spec, unsigned roles)
+{
+    return formatKeys(spec, roles, /*identity=*/false);
+}
+
+std::string
+formatSpecIdentity(const ExperimentSpec &spec, unsigned roles)
+{
+    return formatKeys(spec, roles, /*identity=*/true);
 }
 
 void

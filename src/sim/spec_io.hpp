@@ -56,6 +56,15 @@ enum KeyRole : unsigned
  */
 std::string formatSpec(const ExperimentSpec &spec, unsigned roles = kAllKeys);
 
+/**
+ * formatSpec() for an identity (the result-cache id, the batch shape):
+ * a run-kind key (weeks, day, start_day, end_day) that the spec's run
+ * kind does not read is written at its default, so it cannot split one
+ * experiment into two ids.  Not a round trip: parsing it back loses
+ * those keys' values.
+ */
+std::string formatSpecIdentity(const ExperimentSpec &spec, unsigned roles);
+
 /** Set every key of @p roles in @p to its value in @p from. */
 void copySpecKeys(ExperimentSpec &to, const ExperimentSpec &from,
                   unsigned roles);

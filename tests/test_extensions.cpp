@@ -194,8 +194,9 @@ TEST(Evaporative, ExperimentVariantRuns)
     spec.location = namedLocation(NamedSite::Chad);
     spec.system = sim::SystemId::AllNd;
     spec.variant = sim::PlantVariant::Evaporative;
+    spec.runKind = sim::RunKind::YearWeekly;
     spec.weeks = 2;
-    sim::ExperimentResult r = sim::runYearExperiment(spec);
+    sim::ExperimentResult r = sim::runExperiment(spec);
     EXPECT_GT(r.system.itKwh, 0.0);
 }
 

@@ -25,6 +25,7 @@ spec(NamedSite site, SystemId system, int weeks = 9)
     ExperimentSpec s;
     s.location = environment::namedLocation(site);
     s.system = system;
+    s.runKind = RunKind::YearWeekly;
     s.weeks = weeks;
     return s;
 }
@@ -36,9 +37,9 @@ TEST(Integration, CoolAirReducesMaxRangeAtColdSite)
     // Paper Fig. 9 / §6 lesson 7: managing variation is most successful
     // in cold climates.
     ExperimentResult base =
-        runYearExperiment(spec(NamedSite::Iceland, SystemId::Baseline));
+        runExperiment(spec(NamedSite::Iceland, SystemId::Baseline));
     ExperimentResult allnd =
-        runYearExperiment(spec(NamedSite::Iceland, SystemId::AllNd));
+        runExperiment(spec(NamedSite::Iceland, SystemId::AllNd));
     EXPECT_LT(allnd.system.maxWorstDailyRangeC,
               base.system.maxWorstDailyRangeC);
     EXPECT_LT(allnd.system.avgWorstDailyRangeC,
@@ -50,7 +51,7 @@ TEST(Integration, ViolationsStayLowUnderCoolAir)
     // Paper Fig. 8: CoolAir versions keep average violations < 0.5 C.
     for (SystemId sys : {SystemId::AllNd, SystemId::Variation}) {
         ExperimentResult r =
-            runYearExperiment(spec(NamedSite::Newark, sys, 6));
+            runExperiment(spec(NamedSite::Newark, sys, 6));
         EXPECT_LT(r.system.avgViolationC, 0.5) << systemName(sys);
     }
 }
@@ -60,9 +61,9 @@ TEST(Integration, EnergyVersionHasLowPue)
     // Paper Fig. 10: the Energy version attains the lowest PUEs among
     // CoolAir versions at cool sites.
     ExperimentResult energy =
-        runYearExperiment(spec(NamedSite::Newark, SystemId::Energy, 6));
+        runExperiment(spec(NamedSite::Newark, SystemId::Energy, 6));
     ExperimentResult variation =
-        runYearExperiment(spec(NamedSite::Newark, SystemId::Variation, 6));
+        runExperiment(spec(NamedSite::Newark, SystemId::Variation, 6));
     EXPECT_LT(energy.system.pue, variation.system.pue);
 }
 
@@ -70,17 +71,17 @@ TEST(Integration, CoolAirLowersPueAtHotSite)
 {
     // Paper: at hot locations CoolAir lowers PUEs vs the baseline.
     // (Short slices sample only some weeks; use a wider slice.)
-    ExperimentResult base = runYearExperiment(
+    ExperimentResult base = runExperiment(
         spec(NamedSite::Singapore, SystemId::Baseline, 16));
     ExperimentResult allnd =
-        runYearExperiment(spec(NamedSite::Singapore, SystemId::AllNd, 16));
+        runExperiment(spec(NamedSite::Singapore, SystemId::AllNd, 16));
     EXPECT_LT(allnd.system.pue, base.system.pue);
 }
 
 TEST(Integration, DeferrableWorkloadRuns)
 {
     ExperimentResult def =
-        runYearExperiment(spec(NamedSite::Newark, SystemId::AllDef, 4));
+        runExperiment(spec(NamedSite::Newark, SystemId::AllDef, 4));
     EXPECT_GT(def.system.itKwh, 0.0);
     EXPECT_LT(def.system.avgViolationC, 1.0);
 }
@@ -92,8 +93,8 @@ TEST(Integration, ProfileWorkloadApproximatesClusterSim)
     ExperimentSpec prof_spec = task_spec;
     prof_spec.workload = WorkloadKind::FacebookProfile;
 
-    ExperimentResult task = runYearExperiment(task_spec);
-    ExperimentResult prof = runYearExperiment(prof_spec);
+    ExperimentResult task = runExperiment(task_spec);
+    ExperimentResult prof = runExperiment(prof_spec);
     // The profile replay is the world-sweep fast path; it must land in
     // the same regime as the task-level simulation.
     EXPECT_NEAR(prof.system.pue, task.system.pue, 0.05);
@@ -104,9 +105,9 @@ TEST(Integration, ProfileWorkloadApproximatesClusterSim)
 TEST(Integration, ExperimentsAreDeterministic)
 {
     ExperimentResult a =
-        runYearExperiment(spec(NamedSite::Santiago, SystemId::AllNd, 3));
+        runExperiment(spec(NamedSite::Santiago, SystemId::AllNd, 3));
     ExperimentResult b =
-        runYearExperiment(spec(NamedSite::Santiago, SystemId::AllNd, 3));
+        runExperiment(spec(NamedSite::Santiago, SystemId::AllNd, 3));
     EXPECT_DOUBLE_EQ(a.system.pue, b.system.pue);
     EXPECT_DOUBLE_EQ(a.system.maxWorstDailyRangeC,
                      b.system.maxWorstDailyRangeC);
@@ -116,7 +117,7 @@ TEST(Integration, NutchWorkloadRuns)
 {
     ExperimentSpec s = spec(NamedSite::Newark, SystemId::AllNd, 4);
     s.workload = WorkloadKind::Nutch;
-    ExperimentResult r = runYearExperiment(s);
+    ExperimentResult r = runExperiment(s);
     EXPECT_GT(r.system.itKwh, 0.0);
     EXPECT_LT(r.system.avgViolationC, 1.0);
 }
@@ -128,8 +129,8 @@ TEST(Integration, ForecastBiasHasBoundedImpact)
     ExperimentSpec perfect = spec(NamedSite::Newark, SystemId::AllNd, 6);
     ExperimentSpec warm = perfect;
     warm.forecastError.biasC = 5.0;
-    ExperimentResult p = runYearExperiment(perfect);
-    ExperimentResult w = runYearExperiment(warm);
+    ExperimentResult p = runExperiment(perfect);
+    ExperimentResult w = runExperiment(warm);
     EXPECT_NEAR(w.system.maxWorstDailyRangeC,
                 p.system.maxWorstDailyRangeC, 3.5);
     EXPECT_NEAR(w.system.pue, p.system.pue, 0.08);
@@ -155,18 +156,21 @@ TEST(ModelPlantValidation, RealSimTracksPhysicsPlant)
     engine.runDay(150);
     Summary real = real_metrics.summary();
 
-    // Real-Sim run from the same initial conditions.
-    ModelPlant model_plant(&sharedBundle().model, pc);
+    // Real-Sim run from the same initial conditions (the physics
+    // plant's steady state at the day's start), at the model step.
+    ModelPlant model_plant(&sharedBundle().model, pc, 7);
     workload::ClusterSim cluster2({}, workload::facebookTrace({}));
     BaselineController baseline2;
     MetricsCollector sim_metrics({}, 8);
-    ModelSimRunner runner(model_plant, cluster2, baseline2, climate);
-    runner.setMetrics(&sim_metrics);
+    EngineConfig model_step;
+    model_step.physicsStepS = model_plant.stepS();
+    model_step.sampleIntervalS = int64_t(model_plant.stepS());
+    Engine sim_engine(model_plant, cluster2, baseline2, climate, model_step);
+    sim_engine.setMetrics(&sim_metrics);
 
-    plant::Plant init_plant(pc, 7);
-    init_plant.initializeSteadyState(
-        climate.sample(util::SimTime::fromCalendar(150, 0)), 6.0);
-    runner.runDay(150, init_plant.readSensors());
+    const util::SimTime day_start = util::SimTime::fromCalendar(150, 0);
+    sim_engine.startSegment(day_start);
+    sim_engine.runRange(day_start, day_start + util::kSecondsPerDay, true);
     Summary sim = sim_metrics.summary();
 
     // Paper: baseline Real-Sim within ~8 % on the headline measures.

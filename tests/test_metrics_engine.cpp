@@ -97,9 +97,9 @@ TEST(Metrics, RateViolationsUseTenMinuteWindow)
 
 TEST(Metrics, OutsideRangesTracked)
 {
-    MetricsCollector m({}, 1);
-    m.recordOutside(SimTime(0), 5.0);
-    m.recordOutside(SimTime(600), 15.0);
+    MetricsCollector m({}, 2);
+    m.record(SimTime(0), reading(20.0), 60.0, 5.0);
+    m.record(SimTime(600), reading(20.0), 60.0, 15.0);
     Summary s = m.outsideSummary();
     EXPECT_NEAR(s.avgWorstDailyRangeC, 10.0, 1e-9);
 }

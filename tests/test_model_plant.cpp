@@ -10,6 +10,7 @@
 
 #include "environment/location.hpp"
 #include "sim/controller.hpp"
+#include "sim/engine.hpp"
 #include "sim/model_plant.hpp"
 #include "sim/experiment.hpp"
 #include "workload/cluster.hpp"
@@ -50,44 +51,57 @@ weatherAt(double t)
 
 TEST(ModelPlant, ResetInstallsState)
 {
-    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol());
+    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol(), 7);
     mp.reset(initialReadings(26.5));
-    auto s = mp.readSensors(SimTime(0));
+    auto s = mp.readSensors();
     for (double t : s.podInletC)
         EXPECT_DOUBLE_EQ(t, 26.5);
     EXPECT_DOUBLE_EQ(s.coldAisleAbsHumidity, 8.0);
 }
 
+TEST(ModelPlant, SteadyStateStartIsThePhysicsPlants)
+{
+    const plant::PlantConfig pc = plant::PlantConfig::parasol();
+    ModelPlant mp(&sharedBundle().model, pc, 7);
+    mp.initializeSteadyState(weatherAt(18.0), 6.0);
+    plant::Plant physics(pc, 7);
+    physics.initializeSteadyState(weatherAt(18.0), 6.0);
+    const plant::SensorReadings want = physics.readSensors();
+    const plant::SensorReadings got = mp.readSensors();
+    EXPECT_EQ(got.podInletC, want.podInletC);
+    EXPECT_EQ(got.coldAisleAbsHumidity, want.coldAisleAbsHumidity);
+}
+
 TEST(ModelPlant, FreeCoolingMovesTowardOutside)
 {
-    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol());
+    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol(), 7);
     mp.reset(initialReadings(30.0));
     plant::PodLoad load = plant::PodLoad::uniform(8, 8, 0.5);
     for (int i = 0; i < 20; ++i)
-        mp.step(weatherAt(10.0), load, Regime::freeCooling(0.8));
-    auto s = mp.readSensors(SimTime(20 * 120));
+        mp.step(mp.stepS(), weatherAt(10.0), load, Regime::freeCooling(0.8));
+    auto s = mp.readSensors();
     EXPECT_LT(s.avgPodInletC(), 22.0);
     EXPECT_GT(s.avgPodInletC(), 8.0);
 }
 
 TEST(ModelPlant, ClosedWarmsUnderLoad)
 {
-    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol());
+    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol(), 7);
     mp.reset(initialReadings(20.0));
     plant::PodLoad load = plant::PodLoad::uniform(8, 8, 0.9);
     for (int i = 0; i < 20; ++i)
-        mp.step(weatherAt(15.0), load, Regime::closed());
-    EXPECT_GT(mp.readSensors(SimTime(0)).avgPodInletC(), 21.0);
+        mp.step(mp.stepS(), weatherAt(15.0), load, Regime::closed());
+    EXPECT_GT(mp.readSensors().avgPodInletC(), 21.0);
 }
 
 TEST(ModelPlant, GuardrailsBoundPerStepMoves)
 {
-    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol());
+    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol(), 7);
     mp.reset(initialReadings(45.0));  // extreme start
     plant::PodLoad load = plant::PodLoad::uniform(8, 8, 0.5);
-    auto before = mp.readSensors(SimTime(0)).podInletC;
-    mp.step(weatherAt(0.0), load, Regime::acCompressor(1.0));
-    auto after = mp.readSensors(SimTime(120)).podInletC;
+    auto before = mp.readSensors().podInletC;
+    mp.step(mp.stepS(), weatherAt(0.0), load, Regime::acCompressor(1.0));
+    auto after = mp.readSensors().podInletC;
     for (size_t p = 0; p < 8; ++p) {
         EXPECT_LE(std::fabs(after[p] - before[p]), 6.0 + 1e-9);
         EXPECT_GE(after[p], 8.0);
@@ -97,15 +111,15 @@ TEST(ModelPlant, GuardrailsBoundPerStepMoves)
 
 TEST(ModelPlant, PowerFollowsRegime)
 {
-    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol());
+    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol(), 7);
     mp.reset(initialReadings(25.0));
     plant::PodLoad load = plant::PodLoad::uniform(8, 8, 0.5);
 
-    mp.step(weatherAt(15.0), load, Regime::closed());
-    EXPECT_NEAR(mp.readSensors(SimTime(0)).coolingPowerW, 0.0, 1.0);
+    mp.step(mp.stepS(), weatherAt(15.0), load, Regime::closed());
+    EXPECT_NEAR(mp.readSensors().coolingPowerW, 0.0, 1.0);
 
-    mp.step(weatherAt(15.0), load, Regime::acCompressor(1.0));
-    EXPECT_GT(mp.readSensors(SimTime(0)).coolingPowerW, 1500.0);
+    mp.step(mp.stepS(), weatherAt(15.0), load, Regime::acCompressor(1.0));
+    EXPECT_GT(mp.readSensors().coolingPowerW, 1500.0);
 }
 
 TEST(BaselineController, UsesWarmestPodAsControlSensor)
@@ -148,19 +162,23 @@ TEST(CoolAirController, EmitsPlanAndEpoch)
     EXPECT_GE(d.plan.targetActiveServers, 8);
 }
 
-TEST(ModelSimRunner, SampleHookFiresPerStep)
+TEST(ModelPlant, EngineTracesEveryModelStep)
 {
     environment::Climate climate =
         environment::namedLocation(environment::NamedSite::Newark)
             .makeClimate(3);
-    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol());
+    ModelPlant mp(&sharedBundle().model, plant::PlantConfig::parasol(), 7);
     workload::ClusterSim cluster({}, workload::steadyTrace(0.3, {}));
     BaselineController ctrl;
-    ModelSimRunner runner(mp, cluster, ctrl, climate);
+    EngineConfig model_step;
+    model_step.physicsStepS = mp.stepS();
+    model_step.sampleIntervalS = int64_t(mp.stepS());
+    Engine engine(mp, cluster, ctrl, climate, model_step);
 
-    int samples = 0;
-    runner.setSampleHook(
-        [&](const plant::SensorReadings &) { ++samples; });
-    runner.runDay(100, initialReadings(24.0));
-    EXPECT_EQ(samples, 720);  // one 2-minute step at a time for a day
+    int rows = 0;
+    engine.setTraceSink([&](const TraceRow &) { ++rows; });
+    const SimTime start = SimTime::fromCalendar(100, 0);
+    engine.startSegment(start);
+    engine.runRange(start, start + util::kSecondsPerDay, true);
+    EXPECT_EQ(rows, 720);  // one 2-minute step at a time for a day
 }

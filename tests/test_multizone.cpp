@@ -147,6 +147,25 @@ TEST(MultiZone, AggregateSummarySumsEnergy)
                 1e-9);
 }
 
+TEST(MultiZone, CoarseStepRecordsEachStepOnce)
+{
+    // A 120 s step samples every 120 s, each sample standing for 120 s
+    // of energy, so the day's kWh match the 30 s run's.
+    auto run = [](double step_s) {
+        environment::Climate climate = newarkClimate();
+        MultiZoneConfig cfg;
+        cfg.zones = 2;
+        cfg.physicsStepS = step_s;
+        MultiZoneEngine engine(cfg, climate, baselineFactory());
+        engine.runDay(150, workload::steadyTrace(0.3, {}));
+        return engine.aggregateSummary();
+    };
+    const sim::Summary fine = run(30.0);
+    const sim::Summary coarse = run(120.0);
+    EXPECT_NEAR(coarse.itKwh, fine.itKwh, 0.03 * fine.itKwh);
+    EXPECT_NEAR(coarse.coolingKwh, fine.coolingKwh, 0.03 * fine.coolingKwh);
+}
+
 TEST(MultiZone, PolicyNames)
 {
     EXPECT_STREQ(policyName(BalancePolicy::RoundRobin), "round-robin");

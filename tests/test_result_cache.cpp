@@ -429,6 +429,27 @@ goldens()
     const std::string default_text =
         std::string("run = year\nsite = newark\n") + kDefaultBody +
         "seed = 7\nweather_cache = true\n";
+    // Equal specs share one id: -0 reads as +0, and a key the run kind
+    // does not read (weeks under run = day) is in the id at its default.
+    const auto edited = [](std::string text, const std::string &from,
+                           const std::string &to) {
+        return text.replace(text.find(from), from.size(), to);
+    };
+    const std::string zero_body =
+        edited(kDefaultBody, "max_temp = 30", "max_temp = 0");
+    const std::string zero_text =
+        "run = year\nsite = newark\n" + zero_body +
+        "seed = 7\nweather_cache = true\n";
+    const std::string zero_shape = "run = year\n" +
+                                   std::string(kNeutralLocation) + zero_body +
+                                   "seed = 0\nweather_cache = true\n";
+    const std::string day_text = "run = day\nsite = newark\n" +
+                                 std::string(kDefaultBody) +
+                                 "seed = 7\nweather_cache = true\n";
+    const std::string day_shape = "run = day\n" +
+                                  std::string(kNeutralLocation) +
+                                  kDefaultBody +
+                                  "seed = 0\nweather_cache = true\n";
     return {
         {"fig8", fig8, fig8_text, fig8_text, fig8_shape},
         {"fig8 batch=0", fig8 + "batch = 0\n", fig8_text, fig8_text,
@@ -446,6 +467,13 @@ goldens()
         {"every optional key unset", "", default_text, default_text,
          std::string("run = year\n") + kNeutralLocation + kDefaultBody +
              "seed = 0\nweather_cache = true\n"},
+        {"max_temp = 0", "max_temp = 0\n", zero_text, zero_text,
+         zero_shape},
+        {"max_temp = -0", "max_temp = -0\n", zero_text, zero_text,
+         zero_shape},
+        {"run = day", "run = day\n", day_text, day_text, day_shape},
+        {"run = day, weeks = 3", "run = day\nweeks = 3\n",
+         edited(day_text, "weeks = 52", "weeks = 3"), day_text, day_shape},
     };
 }
 

@@ -29,7 +29,7 @@ using namespace coolair;
 namespace {
 
 /**
- * A verbatim copy of the pre-refactor runYearExperiment assembly (the
+ * A verbatim copy of the pre-refactor year-run assembly (the
  * bespoke construction the scenario layer replaced).  The parity test
  * below locks the refactor to this behavior bit for bit.
  */
@@ -142,6 +142,7 @@ newarkSpec()
     sim::ExperimentSpec spec;
     spec.location =
         environment::namedLocation(environment::NamedSite::Newark);
+    spec.runKind = sim::RunKind::YearWeekly;
     return spec;
 }
 
@@ -170,7 +171,7 @@ TEST_P(ScenarioParity, MatchesLegacyAssembly)
     spec.weeks = 2;
 
     sim::ExperimentResult legacy = legacyRunYearExperiment(spec);
-    sim::ExperimentResult scenario = sim::runYearExperiment(spec);
+    sim::ExperimentResult scenario = sim::runExperiment(spec);
 
     expectSummaryEq(legacy.system, scenario.system);
     expectSummaryEq(legacy.outside, scenario.outside);
@@ -194,11 +195,11 @@ TEST_P(ScenarioParity, ObsEnabledDoesNotChangeMetrics)
     spec.system = GetParam().system;
     spec.weeks = 2;
 
-    sim::ExperimentResult off = sim::runYearExperiment(spec);
+    sim::ExperimentResult off = sim::runExperiment(spec);
 
     obs::registry().clear();
     obs::setEnabled(true);
-    sim::ExperimentResult on = sim::runYearExperiment(spec);
+    sim::ExperimentResult on = sim::runExperiment(spec);
     obs::setEnabled(false);
 
     expectSummaryEq(off.system, on.system);
@@ -230,16 +231,16 @@ TEST(Scenario, DayRangeCoversRange)
     EXPECT_EQ(r.system.days, 3);
 }
 
-TEST(Scenario, RunYearExperimentForcesYearProtocol)
+TEST(Scenario, YearRunIgnoresDayKeys)
 {
     sim::ExperimentSpec spec = newarkSpec();
-    spec.runKind = sim::RunKind::SingleDay;  // must be overridden
     spec.weeks = 1;
-    sim::ExperimentResult forced = sim::runYearExperiment(spec);
-
-    spec.runKind = sim::RunKind::YearWeekly;
     sim::ExperimentResult year = sim::runExperiment(spec);
-    expectSummaryEq(forced.system, year.system);
+
+    spec.day = 100;  // read by run = day only
+    spec.startDay = 40;
+    spec.endDay = 43;
+    expectSummaryEq(year.system, sim::runExperiment(spec).system);
 }
 
 TEST(Scenario, InvalidSpecsThrowWithLegacyMessages)
@@ -247,7 +248,7 @@ TEST(Scenario, InvalidSpecsThrowWithLegacyMessages)
     sim::ExperimentSpec spec = newarkSpec();
     spec.weeks = 0;
     try {
-        sim::runYearExperiment(spec);
+        sim::runExperiment(spec);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument &e) {
         EXPECT_STREQ("ExperimentSpec: weeks must be positive", e.what());
@@ -662,12 +663,9 @@ TEST(ModelSimScenario, BuildsRunnableStack)
     spec.day = 182;
 
     sim::ModelSimScenario ms = sim::buildModelSimScenario(spec);
-    ASSERT_TRUE(ms.runner != nullptr);
+    ASSERT_TRUE(ms.engine != nullptr);
 
-    std::unique_ptr<plant::Plant> init = sim::makePlant(spec);
-    init->initializeSteadyState(
-        ms.climate->sample(util::SimTime::fromCalendar(spec.day, 0)), 6.0);
-    ms.runner->runDay(spec.day, init->readSensors());
+    ms.runDay(spec.day);
     sim::Summary s = ms.metrics->summary();
     EXPECT_EQ(1, s.days);
     EXPECT_GT(s.itKwh, 0.0);

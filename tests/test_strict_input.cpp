@@ -532,9 +532,10 @@ TEST(ServeSpec, HostileRunShapeKeysAnswerErrOnBothEnginesAndStoreNothing)
     // Run-shape keys used to end the process (a physics step that does
     // not divide the sample interval reached util::fatal, and
     // int64_t(1e300) is undefined) or to simulate and store a
-    // meaningless run (day 9999, a range from day -5).  On the scalar
-    // and the coalesced batched path alike, each must answer ERR naming
-    // the key, store nothing, and leave the server answering PING.
+    // meaningless run (day 9999, a range from day -5 or from day
+    // 2147483646).  On the scalar and the coalesced batched path alike,
+    // each must answer ERR naming the key, store nothing, and leave the
+    // server answering PING.
     TempDir dir;
     serve::ServiceConfig config;
     config.cacheDir = (dir.path / "store").string();
@@ -562,6 +563,11 @@ TEST(ServeSpec, HostileRunShapeKeysAnswerErrOnBothEnginesAndStoreNothing)
         {"run=day; day=365; physics_step=120", "day"},
         {"run=day; day=-1; physics_step=120", "day"},
         {"run=range; start_day=-5; end_day=2; physics_step=120",
+         "start_day"},
+        {"run=range; start_day=365; end_day=366; physics_step=120",
+         "start_day"},
+        {"run=range; start_day=2147483646; end_day=2147483647; "
+         "physics_step=120",
          "start_day"},
         {"run=range; start_day=0; end_day=400; physics_step=120",
          "end_day"},
